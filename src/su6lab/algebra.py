@@ -91,7 +91,8 @@ class AdjointRep:
 
 
 @lru_cache(maxsize=1)
-def _su6_basis_cached() -> GeneratorBasis:
+def su6_basis() -> GeneratorBasis:
+    """Return the canonical 35-generator su(6) basis (cached, read-only)."""
     i2, i3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
     mats, labels = [], []
     for i in range(3):
@@ -109,19 +110,92 @@ def _su6_basis_cached() -> GeneratorBasis:
     return GeneratorBasis(matrices=arr, labels=tuple(labels))
 
 
-def su6_basis() -> GeneratorBasis:
-    """Return the canonical 35-generator su(6) basis (cached, read-only)."""
-    return _su6_basis_cached()
-
-
 def _check_hermitian(m: np.ndarray, what: str, tol: float = 1e-12) -> None:
     resid = float(np.max(np.abs(m - m.conj().T)))
     if resid > tol:
         raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
-def structure_constants(basis: GeneratorBasis | None = None,
-                        tol: float = 1e-10) -> np.ndarray:
+def _hermiticity(mats: np.ndarray) -> np.ndarray:
+    """Per-generator max |b - b^dag|."""
+    return np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+
+
+def _gram_deviation(mats: np.ndarray) -> np.ndarray:
+    """|tr(b_l b_m) - 2 delta_lm| for every pair."""
+    gram = np.einsum("aij,bji->ab", mats, mats)
+    return np.abs(gram - 2.0 * np.eye(len(mats)))
+
+
+def _structure_tensor(mats: np.ndarray) -> tuple[np.ndarray, float]:
+    """Complex g_lmn = -i tr([b_l, b_m] b_n) / 4 and the max residual of
+    the closure relation [b_l, b_m] = 2i sum_n g_lmn b_n."""
+    comm = np.einsum("lik,mkj->lmij", mats, mats)
+    comm = comm - comm.transpose(1, 0, 2, 3)
+    g = -0.25j * np.einsum("lmij,nji->lmn", comm, mats)
+    recon = 2j * np.einsum("lmn,nij->lmij", g, mats)
+    return g, float(np.max(np.abs(comm - recon)))
+
+
+def _adjoint_closure(g: np.ndarray):
+    """Adjoint matrices G = -g, both sides of [G_l, G_m] = sum_n g_lmn G_n
+    and the least-squares constant c of lhs = c * rhs (nan if rhs = 0)."""
+    G = -g
+    lhs = np.einsum("lab,mbc->lmac", G, G)
+    lhs = lhs - lhs.transpose(1, 0, 2, 3)
+    rhs = np.einsum("lmn,nac->lmac", g, G)
+    denom = float(np.sum(rhs * rhs))
+    c = float(np.sum(lhs * rhs) / denom) if denom > 0 else float("nan")
+    return G, lhs, rhs, c
+
+
+def invariant_residuals(basis: GeneratorBasis | None = None,
+                        seed: int = 0) -> list[tuple[str, float, float]]:
+    """The invariant suite as (name, max residual, tolerance) rows.
+
+    Never raises on a broken basis: every check is measured and reported,
+    so a caller can print the whole table.  The Jacobi identity is
+    sampled on 100 index triples drawn with ``seed``.
+    """
+    basis = basis or su6_basis()
+    mats = np.asarray(basis.matrices)
+    labels = basis.labels
+    rows = [
+        ("hermiticity", float(np.max(_hermiticity(mats))), 1e-12),
+        ("tracelessness",
+         float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))), 1e-12),
+        ("trace_orthonormality", float(np.max(_gram_deviation(mats))), 1e-12),
+    ]
+    sizes = (
+        sum(1 for l in labels if l.startswith("s") and "o" not in l),
+        sum(1 for l in labels if l.startswith("o")),
+        sum(1 for l in labels if l.startswith("s") and "o" in l),
+    )
+    rows.append(("family_sizes_3_8_24", float(sizes != (3, 8, 24)), 0.5))
+
+    g_full, closure = _structure_tensor(mats)
+    rows.append(("commutator_closure", closure, 1e-10))
+    g = g_full.real
+    rows.append(("antisymmetry",
+                 float(np.max(np.abs(g + g.transpose(1, 0, 2)))), 1e-12))
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        l, m, n = rng.integers(0, len(mats), size=3)
+        t1 = np.einsum("k,ko->o", g[l, m], g[:, n, :])
+        t2 = np.einsum("k,ko->o", g[m, n], g[:, l, :])
+        t3 = np.einsum("k,ko->o", g[n, l], g[:, m, :])
+        worst = max(worst, float(np.max(np.abs(t1 + t2 + t3))))
+    rows.append(("jacobi_identity", worst, 1e-9))
+
+    _, lhs, rhs, c = _adjoint_closure(g)
+    rows.append(("adjoint_closure_constant", abs(c - 1.0), 1e-10))
+    rows.append(("adjoint_closure", float(np.max(np.abs(lhs - rhs))), 1e-10))
+    return rows
+
+
+def structure_constants(basis: GeneratorBasis | None = None) -> np.ndarray:
     """Compute g_lmn = -i tr([b_l, b_m] b_n) / 4 for a trace-normalized basis.
 
     The basis is validated first (hermiticity and tr(b_l b_m) = 2 delta_lm)
@@ -130,16 +204,14 @@ def structure_constants(basis: GeneratorBasis | None = None,
     """
     basis = basis or su6_basis()
     mats = np.asarray(basis.matrices)
-    n = mats.shape[0]
-    herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+    herm = _hermiticity(mats)
     if np.any(herm > 1e-12):
         bad = int(np.argmax(herm))
         raise ValueError(
             f"generator {basis.labels[bad]!r} is not Hermitian "
             f"(residual {herm[bad]:.3e})"
         )
-    gram = np.einsum("aij,bji->ab", mats, mats)
-    dev = np.abs(gram - 2.0 * np.eye(n))
+    dev = _gram_deviation(mats)
     if np.max(dev) > 1e-10:
         a, b = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise ValueError(
@@ -147,54 +219,50 @@ def structure_constants(basis: GeneratorBasis | None = None,
             f"({basis.labels[a]!r}, {basis.labels[b]!r}), "
             f"residual {dev[a, b]:.3e}"
         )
-    comm = np.einsum("lik,mkj->lmij", mats, mats)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    g = -0.25j * np.einsum("lmij,nji->lmn", comm, mats)
+    g, resid = _structure_tensor(mats)
     if np.max(np.abs(g.imag)) > 1e-12:
         raise RuntimeError("structure constants acquired an imaginary part")
-    g = np.ascontiguousarray(g.real)
-    recon = 2j * np.einsum("lmn,nij->lmij", g, mats)
-    resid = float(np.max(np.abs(comm - recon)))
-    if resid > tol:
+    if resid > 1e-10:
         raise RuntimeError(
-            f"commutator closure failed (residual {resid:.3e} > {tol:.1e}); "
+            f"commutator closure failed (residual {resid:.3e} > 1.0e-10); "
             "the supplied basis does not span a closed algebra"
         )
+    g = np.ascontiguousarray(g.real)
     g.setflags(write=False)
     return g
 
 
-def adjoint_matrices(g: np.ndarray, tol: float = 1e-10) -> AdjointRep:
+def adjoint_matrices(g: np.ndarray) -> AdjointRep:
     """Build the adjoint matrices (G_l)_mn = -g_lmn and measure the closure
     constant c in [G_l, G_m] = c sum_n g_lmn G_n (expected: c = 1)."""
-    g = np.asarray(g, dtype=float)
-    G = -g.copy()
-    lhs = np.einsum("lab,mbc->lmac", G, G)
-    lhs = lhs - lhs.transpose(1, 0, 2, 3)
-    rhs = np.einsum("lmn,nac->lmac", g, G)
-    denom = float(np.sum(rhs * rhs))
-    if denom == 0.0:
-        raise ValueError("structure constants are identically zero")
-    c = float(np.sum(lhs * rhs) / denom)
+    G, lhs, rhs, c = _adjoint_closure(np.asarray(g, dtype=float))
+    if not np.isfinite(c):
+        raise ValueError("structure constants are zero or not finite")
     resid = float(np.max(np.abs(lhs - c * rhs)))
-    if resid > tol:
+    if resid > 1e-10:
         raise RuntimeError(
-            f"adjoint closure failed (residual {resid:.3e} > {tol:.1e} "
+            f"adjoint closure failed (residual {resid:.3e} > 1.0e-10 "
             f"at fitted constant c = {c!r})"
         )
     G.setflags(write=False)
     return AdjointRep(matrices=G, closure_constant=c)
 
 
-def _exact_pair_triple(i: int, j: int) -> np.ndarray:
-    # entries are 0, +-1, +-i; assembled directly so the restriction to
-    # the (i, j) support equals the Pauli matrices bit for bit
+def pair_triple(i: int, j: int) -> np.ndarray:
+    """Pauli triple (X, Y, Z) on the two states i < j (1-based).
+
+    Entries are 0, +-1, +-i, assembled directly so the restriction to the
+    (i, j) support equals the Pauli matrices bit for bit.
+    """
+    if not (1 <= i < j <= 6):
+        raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
+    a, b = i - 1, j - 1
     t = np.zeros((3, 6, 6), dtype=complex)
-    t[0, i, j] = t[0, j, i] = 1.0
-    t[1, i, j] = -1j
-    t[1, j, i] = 1j
-    t[2, i, i] = 1.0
-    t[2, j, j] = -1.0
+    t[0, a, b] = t[0, b, a] = 1.0
+    t[1, a, b] = -1j
+    t[1, b, a] = 1j
+    t[2, a, a] = 1.0
+    t[2, b, b] = -1.0
     t.setflags(write=False)
     return t
 
@@ -207,14 +275,14 @@ def skyrmion_generators() -> np.ndarray:
     left-circular mode with a right-circular vortex of positive chirality,
     the family whose transverse textures are skyrmions.
     """
-    return _exact_pair_triple(2, 3)
+    return pair_triple(3, 4)
 
 
 def antiskyrmion_generators() -> np.ndarray:
     """Generator triple acting as Pauli matrices on the pair of modes
     (up, O) and (down, R), i.e. states 3 and 5; the texture family with
     reversed in-plane winding (antiskyrmions)."""
-    return _exact_pair_triple(2, 4)
+    return pair_triple(3, 5)
 
 
 def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
@@ -227,30 +295,6 @@ def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
     _check_hermitian(generator, "generator")
     w, v = np.linalg.eigh(generator)
     return (v * np.exp(-0.5j * w * angle)) @ v.conj().T
-
-
-def euler_rotation(generator: np.ndarray, angle: float) -> np.ndarray:
-    """Closed-form exp(-i * generator * angle / 2) for involutive generators.
-
-    Requires generator^2 to be a projector P with P @ generator = generator;
-    then the exponential is (1 - P) + cos(angle/2) P - i sin(angle/2) G.
-    Valid for any of the two-mode pair triples.
-    """
-    g = np.asarray(generator, dtype=complex)
-    _check_hermitian(g, "generator")
-    p = g @ g
-    if np.max(np.abs(p @ p - p)) > 1e-12 or np.max(np.abs(p @ g - g)) > 1e-12:
-        raise ValueError(
-            "generator square is not a projector on its support; "
-            "the closed-form rotation only applies to involutive generators"
-        )
-    n = g.shape[0]
-    return (
-        np.eye(n, dtype=complex)
-        - p
-        + np.cos(angle / 2) * p
-        - 1j * np.sin(angle / 2) * g
-    )
 
 
 def exp_adjoint(adjoint: AdjointRep | np.ndarray, axis: np.ndarray,

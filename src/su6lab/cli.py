@@ -43,8 +43,9 @@ def _positive_float(text: str) -> float:
 
 def _grid_size(text: str) -> int:
     value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"grid size must be >= 2, got {text!r}")
+    if value < field.MIN_GRID:
+        raise argparse.ArgumentTypeError(
+            f"grid size must be >= {field.MIN_GRID}, got {text!r}")
     return value
 
 
@@ -86,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     alg = p_algebra.add_subparsers(dest="subcommand", required=True)
     p_verify = alg.add_parser("verify", parents=common,
                               help="run the invariant suite")
-    p_verify.add_argument("--inject-non-hermitian", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_algebra_verify)
     p_export = alg.add_parser("export", parents=common,
                               help="write basis, structure constants, adjoint")
@@ -163,9 +162,19 @@ def _resolve_state(token: str) -> st.CoherentState:
     raise _UsageError(f"unknown state {token!r}; named states: {catalog}")
 
 
-def _outfile(args, name: str) -> str:
+def _write_file(args, files: list, name: str, payload: str | bytes,
+                **extra) -> None:
+    """Write one output file and its provenance sidecar, and list its name
+    in ``files``; ``extra`` goes into the sidecar."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = os.path.join(args.out, name)
+    if isinstance(payload, bytes):
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    else:
+        serialize.write_text(path, payload)
+    serialize.write_sidecar(path, args._argv, _config(args), **extra)
+    files.append(name)
 
 
 def _sphere_obj(point) -> dict:
@@ -179,56 +188,9 @@ def _sphere_obj(point) -> dict:
 # ----------------------------------------------------------------- algebra
 
 
-def _verify_rows(mats: np.ndarray, labels, seed: int) -> list:
-    rows = []
-    herm = float(np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))))
-    rows.append(("hermiticity", herm, 1e-12))
-    rows.append(("tracelessness", float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))), 1e-12))
-    gram = np.einsum("aij,bji->ab", mats, mats)
-    rows.append(("trace_orthonormality",
-                 float(np.max(np.abs(gram - 2.0 * np.eye(len(mats))))), 1e-12))
-    sizes = (
-        sum(1 for l in labels if l.startswith("s") and "o" not in l),
-        sum(1 for l in labels if l.startswith("o")),
-        sum(1 for l in labels if l.startswith("s") and "o" in l),
-    )
-    rows.append(("family_sizes_3_8_24", float(sizes != (3, 8, 24)), 0.5))
-
-    comm = np.einsum("lik,mkj->lmij", mats, mats)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    g_full = -0.25j * np.einsum("lmij,nji->lmn", comm, mats)
-    recon = 2j * np.einsum("lmn,nij->lmij", g_full, mats)
-    rows.append(("commutator_closure", float(np.max(np.abs(comm - recon))), 1e-10))
-    g = g_full.real
-    rows.append(("antisymmetry", float(np.max(np.abs(g + g.transpose(1, 0, 2)))), 1e-12))
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        l, m, n = rng.integers(0, len(mats), size=3)
-        t1 = np.einsum("k,ko->o", g[l, m], g[:, n, :])
-        t2 = np.einsum("k,ko->o", g[m, n], g[:, l, :])
-        t3 = np.einsum("k,ko->o", g[n, l], g[:, m, :])
-        worst = max(worst, float(np.max(np.abs(t1 + t2 + t3))))
-    rows.append(("jacobi_identity", worst, 1e-9))
-
-    adj = -g
-    lhs = np.einsum("lab,mbc->lmac", adj, adj)
-    lhs = lhs - lhs.transpose(1, 0, 2, 3)
-    rhs = np.einsum("lmn,nac->lmac", g, adj)
-    denom = float(np.sum(rhs * rhs))
-    c = float(np.sum(lhs * rhs) / denom) if denom > 0 else float("nan")
-    rows.append(("adjoint_closure_constant", abs(c - 1.0), 1e-10))
-    rows.append(("adjoint_closure", float(np.max(np.abs(lhs - rhs))), 1e-10))
-    return rows
-
-
 def cmd_algebra_verify(args) -> int:
     basis = algebra.su6_basis()
-    mats = np.array(basis.matrices)
-    if args.inject_non_hermitian:
-        mats[0, 0, 1] += 1e-3
-    rows = _verify_rows(mats, basis.labels, args.seed)
+    rows = algebra.invariant_residuals(basis, args.seed)
     failed = []
     residuals = {}
     for name, resid, tol in rows:
@@ -256,47 +218,29 @@ def cmd_algebra_export(args) -> int:
     basis = algebra.su6_basis()
     g = algebra.structure_constants(basis)
     adj = algebra.adjoint_matrices(g)
-    config = _config(args)
     files = []
-
-    path = _outfile(args, "basis.json")
-    serialize.write_text(path, serialize.json_text({
+    _write_file(args, files, "basis.json", serialize.json_text({
         "version": basis.version,
         "labels": list(basis.labels),
         "matrices": basis.matrices,
     }))
-    serialize.write_sidecar(path, args._argv, config)
-    files.append(path)
-
     entries = serialize.g_tensor_entries(g)
-    path = _outfile(args, "g_tensor.json")
-    serialize.write_text(path, serialize.json_text({
+    _write_file(args, files, "g_tensor.json", serialize.json_text({
         "version": basis.version,
         "noise_cutoff": 1e-14,
         "entries": [list(e) for e in entries],
-    }))
-    serialize.write_sidecar(path, args._argv, config, noise_cutoff=1e-14)
-    files.append(path)
-
-    path = _outfile(args, "g_tensor.csv")
-    serialize.write_text(path, serialize.g_tensor_csv(g))
-    serialize.write_sidecar(path, args._argv, config,
-                            columns=["l", "m", "n", "value"],
-                            noise_cutoff=1e-14)
-    files.append(path)
-
-    path = _outfile(args, "adjoint.json")
-    serialize.write_text(path, serialize.json_text({
+    }), noise_cutoff=1e-14)
+    _write_file(args, files, "g_tensor.csv", serialize.g_tensor_csv(g),
+                columns=["l", "m", "n", "value"], noise_cutoff=1e-14)
+    _write_file(args, files, "adjoint.json", serialize.json_text({
         "version": adj.version,
         "closure_constant": adj.closure_constant,
         "matrices": adj.matrices,
     }))
-    serialize.write_sidecar(path, args._argv, config)
-    files.append(path)
 
     _emit({
         "command": "algebra export",
-        "files": [os.path.basename(f) for f in files],
+        "files": files,
         "nonzero_g_entries": len(entries),
         "closure_constant": adj.closure_constant,
     })
@@ -312,8 +256,7 @@ def cmd_state_eval(args) -> int:
     obj = {
         "command": "state eval",
         "state": args.state,
-        "alpha": [[a.real, a.imag] for a in state.alpha],
-        "n0": state.n0,
+        **serialize.state_to_obj(state),
         "hypersphere_norm": float(np.linalg.norm(vec)),
     }
     if args.spheres:
@@ -375,11 +318,10 @@ def cmd_bench_run(args) -> int:
             "antiskyrmion": _sphere_obj(st.antiskyrmion_sphere(out_state)),
         },
     }
-    path = _outfile(args, "camera_state.json")
-    serialize.save_state(path, out_state)
-    serialize.write_sidecar(path, args._argv, _config(args),
-                            bench=bench.name, classification=label)
-    obj["files"] = [os.path.basename(path)]
+    obj["files"] = []
+    _write_file(args, obj["files"], "camera_state.json",
+                serialize.json_text(serialize.state_to_obj(out_state)),
+                bench=bench.name, classification=label)
     _emit(obj)
     return 0
 
@@ -390,13 +332,10 @@ def cmd_bench_sweep(args) -> int:
                               input_state=_bench_input(bench))
     tol_deg = args.tolerance or 1.0
     labels = [field.classify_texture(f, tol_deg=tol_deg) for f in result.frames]
-    config = _config(args)
     files = []
-
-    path = _outfile(args, "trajectory.csv")
-    serialize.write_text(path, serialize.trajectory_csv(result.parameters, result.frames))
-    serialize.write_sidecar(
-        path, args._argv, config,
+    _write_file(
+        args, files, "trajectory.csv",
+        serialize.trajectory_csv(result.parameters, result.frames),
         bench=bench.name,
         element=result.sweep.element_id,
         record=list(result.sweep.record),
@@ -405,22 +344,18 @@ def cmd_bench_sweep(args) -> int:
         angle_units={"parameter": "degrees", "theta_p": "radians",
                      "phi_t": "radians"},
     )
-    files.append(path)
 
     if args.fields:
         grid = field.TransverseGrid(size=args.grid, extent=args.extent)
         for k, frame in enumerate(result.frames):
             e_left, e_right = field.synthesize(frame, grid, waist=args.waist)
             sf = field.stokes_fields(e_left, e_right, grid)
-            path = _outfile(args, f"stokes_{k:03d}.csv")
-            serialize.write_text(path, serialize.field_csv(sf))
-            serialize.write_sidecar(
-                path, args._argv, config,
+            _write_file(
+                args, files, f"stokes_{k:03d}.csv", serialize.field_csv(sf),
                 bench=bench.name, frame=k,
                 parameter=float(result.parameters[k]),
                 columns=list(serialize.FIELD_COLUMNS),
             )
-            files.append(path)
 
     _emit({
         "command": "bench sweep",
@@ -429,7 +364,7 @@ def cmd_bench_sweep(args) -> int:
         "frames": len(result.frames),
         "parameters": [float(p) for p in result.parameters],
         "classifications": labels,
-        "files": [os.path.basename(f) for f in files],
+        "files": files,
     })
     return 0
 
@@ -442,30 +377,20 @@ def cmd_field_render(args) -> int:
     grid = field.TransverseGrid(size=args.grid, extent=args.extent)
     e_left, e_right = field.synthesize(state, grid, waist=args.waist)
     sf = field.stokes_fields(e_left, e_right, grid)
-    config = _config(args)
     files = []
-
-    path = _outfile(args, "stokes.csv")
-    serialize.write_text(path, serialize.field_csv(sf))
-    serialize.write_sidecar(path, args._argv, config,
-                            state=args.state,
-                            columns=list(serialize.FIELD_COLUMNS))
-    files.append(path)
+    _write_file(args, files, "stokes.csv", serialize.field_csv(sf),
+                state=args.state, columns=list(serialize.FIELD_COLUMNS))
 
     for name, channel in (("s0", sf.s0), ("s1", sf.s1),
                           ("s2", sf.s2), ("s3", sf.s3)):
-        path = _outfile(args, f"{name}.pgm")
         payload, lo, hi = serialize.pgm_bytes(channel)
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        serialize.write_sidecar(
-            path, args._argv, config,
+        _write_file(
+            args, files, f"{name}.pgm", payload,
             state=args.state, channel=name,
             scaling={"pixel_0": lo, "pixel_255": hi,
                      "map": "value = pixel_0 + pixel/255*(pixel_255 - pixel_0)"},
             orientation="top row at largest y",
         )
-        files.append(path)
 
     obj = {
         "command": "field render",
@@ -475,15 +400,12 @@ def cmd_field_render(args) -> int:
 
     if args.bubble is not None:
         tm = field.soup_bubble(sf, bins=args.bubble, profile=args.profile)
-        path = _outfile(args, "bubble.csv")
-        serialize.write_text(path, serialize.texture_map_csv(tm))
-        serialize.write_sidecar(
-            path, args._argv, config,
+        _write_file(
+            args, files, "bubble.csv", serialize.texture_map_csv(tm),
             state=args.state,
             mapping={"profile": tm.profile, "disk_radius": tm.disk_radius,
                      "bins": list(tm.bins)},
         )
-        files.append(path)
         obj["bubble"] = {"bins": list(tm.bins), "profile": tm.profile,
                          "empty_bins": int((tm.counts == 0).sum())}
 
@@ -494,7 +416,7 @@ def cmd_field_render(args) -> int:
             "disk_radius": grid.extent,
         }
 
-    obj["files"] = [os.path.basename(f) for f in files]
+    obj["files"] = files
     _emit(obj)
     return 0
 
@@ -512,13 +434,7 @@ def main(argv: list | None = None) -> int:
     args._argv = tokens
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except optics.BenchParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (_UsageError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _S0_CUTOFF = 1e-12
+MIN_GRID = 16  # smallest grid side in pixels, also the CLI --grid floor
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class TransverseGrid:
     extent: float = 3.0
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < 16:
-            raise ValueError(f"size must be an integer >= 16, got {self.size}")
+        if int(self.size) != self.size or self.size < MIN_GRID:
+            raise ValueError(f"size must be an integer >= {MIN_GRID}, got {self.size}")
         if not self.extent > 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
 

@@ -318,18 +318,11 @@ def _parse_element(token: str, source: str, line: int):
     kind = _KIND_ALIASES.get(raw_kind)
     if kind is None:
         raise BenchParseError(f"unknown element kind {raw_kind!r}", source, line)
-    attrs: dict[str, str] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise BenchParseError(
-                f"malformed attribute {part!r}, expected key=value", source, line
-            )
-        key, value = part.split("=", 1)
-        if key == "phase" and kind == "PHASE":
-            key = "angle"
-        if key in attrs:
-            raise BenchParseError(f"duplicate attribute {key!r}", source, line)
-        attrs[key] = value
+    attrs = _parse_keyvals(parts[1:], raw_kind, source, line)
+    if kind == "PHASE" and "phase" in attrs:
+        if "angle" in attrs:
+            raise BenchParseError("duplicate attribute 'angle'", source, line)
+        attrs["angle"] = attrs.pop("phase")
 
     allowed = {"id"}
     if kind in _ANGLE_KINDS:
@@ -341,7 +334,7 @@ def _parse_element(token: str, source: str, line: int):
             raise BenchParseError(
                 f"unknown attribute {key!r} for {raw_kind}", source, line
             )
-    if kind in ("HWP", "QWP", "POLARIZER", "PHASE") and "angle" not in attrs:
+    if kind in _ANGLE_KINDS and "angle" not in attrs:
         raise BenchParseError(f"{raw_kind} requires attribute 'angle'", source, line)
 
     angle = 0.0

@@ -13,7 +13,13 @@ import os
 import numpy as np
 
 from .algebra import BASIS_VERSION
-from .state import CoherentState
+from .state import (
+    CoherentState,
+    antiskyrmion_sphere,
+    oam_sphere,
+    skyrmion_sphere,
+    state_to_torus,
+)
 
 __all__ = [
     "field_csv",
@@ -157,13 +163,6 @@ def trajectory_csv(parameters, frames) -> str:
     """One row per sweep frame: swept value (degrees), the three sphere
     coordinate triples (units of hbar*N0) and the torus angles (radians,
     blank-as-nan when the frame leaves the torus family)."""
-    from .state import (
-        antiskyrmion_sphere,
-        oam_sphere,
-        skyrmion_sphere,
-        state_to_torus,
-    )
-
     lines = [",".join(TRAJECTORY_COLUMNS)]
     for value, frame in zip(parameters, frames):
         cells = [format_float(value)]

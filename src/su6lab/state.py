@@ -10,7 +10,7 @@ on the skyrmion torus handled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,8 +118,7 @@ def state_names() -> tuple[str, ...]:
 def expectation(state: CoherentState, matrix: np.ndarray) -> float:
     """Expectation hbar * N0 * alpha^dag M alpha of a Hermitian M."""
     m = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise ValueError("expectation requires a Hermitian matrix")
+    algebra._check_hermitian(m, "expectation matrix")
     return state.scale * float(np.real(state.alpha.conj() @ m @ state.alpha))
 
 
@@ -196,26 +195,20 @@ def antiskyrmion_sphere(state: CoherentState) -> SpherePoint:
     return _triple_point(state, "antiskyrmion", algebra.antiskyrmion_generators())
 
 
-_OAM_TRIPLE = None
-_POL_TRIPLE = None
-
-
+@lru_cache(maxsize=1)
 def _oam_triple() -> np.ndarray:
-    global _OAM_TRIPLE
-    if _OAM_TRIPLE is None:
-        gm = algebra.gell_mann_matrices()
-        _OAM_TRIPLE = np.stack([np.kron(np.eye(2), gm[j]) for j in range(3)])
-        _OAM_TRIPLE.setflags(write=False)
-    return _OAM_TRIPLE
+    gm = algebra.gell_mann_matrices()
+    triple = np.stack([np.kron(np.eye(2), gm[j]) for j in range(3)])
+    triple.setflags(write=False)
+    return triple
 
 
+@lru_cache(maxsize=1)
 def _pol_triple() -> np.ndarray:
-    global _POL_TRIPLE
-    if _POL_TRIPLE is None:
-        pauli = algebra.pauli_matrices()
-        _POL_TRIPLE = np.stack([np.kron(pauli[i], np.eye(3)) for i in range(3)])
-        _POL_TRIPLE.setflags(write=False)
-    return _POL_TRIPLE
+    pauli = algebra.pauli_matrices()
+    triple = np.stack([np.kron(pauli[i], np.eye(3)) for i in range(3)])
+    triple.setflags(write=False)
+    return triple
 
 
 def oam_sphere(state: CoherentState) -> SpherePoint:
@@ -293,22 +286,6 @@ def state_to_torus(state: CoherentState, tol: float = 1e-8) -> TorusPoint:
                       poloidal_radius=state.scale * float(np.hypot(l1, l3)))
 
 
-def pair_triple(i: int, j: int) -> np.ndarray:
-    """Pauli triple (X, Y, Z) on the two states i < j (1-based)."""
-    if not (1 <= i < j <= 6):
-        raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")
-    a, b = i - 1, j - 1
-    x = np.zeros((6, 6), dtype=complex)
-    y = np.zeros((6, 6), dtype=complex)
-    z = np.zeros((6, 6), dtype=complex)
-    x[a, b] = x[b, a] = 1.0
-    y[a, b] = -1j
-    y[b, a] = 1j
-    z[a, a] = 1.0
-    z[b, b] = -1.0
-    return np.stack([x, y, z])
-
-
 _SUBSPHERE_TABLE: tuple[tuple[str, tuple[int, int], str], ...] = (
     ("polarization", (1, 4), "polarization within the L vortex pair"),
     ("polarization", (2, 5), "polarization within the R vortex pair"),
@@ -332,7 +309,8 @@ def enumerate_subspheres() -> tuple[Subsphere, ...]:
     """All fifteen two-mode spheres; together they cover every unordered
     pair of the six states exactly once (3 + 6 + 2 + 2 + 2)."""
     return tuple(
-        Subsphere(kind=kind, pair=pair, note=note, triple=pair_triple(*pair))
+        Subsphere(kind=kind, pair=pair, note=note,
+                  triple=algebra.pair_triple(*pair))
         for kind, pair, note in _SUBSPHERE_TABLE
     )
 
@@ -340,4 +318,4 @@ def enumerate_subspheres() -> tuple[Subsphere, ...]:
 def subsphere_point(state: CoherentState, pair: tuple[int, int]) -> SpherePoint:
     """Observable point on the two-mode sphere of the given state pair."""
     i, j = pair
-    return _triple_point(state, f"pair({i},{j})", pair_triple(i, j))
+    return _triple_point(state, f"pair({i},{j})", algebra.pair_triple(i, j))

@@ -240,6 +240,20 @@ def test_skyrmion_generators_from_tensor_products():
     )
 
 
+def test_pair_triple_is_one_based_and_range_checked():
+    assert np.array_equal(alg.pair_triple(3, 4), alg.skyrmion_generators())
+    assert np.array_equal(alg.pair_triple(3, 5), alg.antiskyrmion_generators())
+    for bad in ((4, 3), (0, 1), (5, 7), (2, 2)):
+        with pytest.raises(ValueError, match="1 <= i < j <= 6"):
+            alg.pair_triple(*bad)
+
+
+def test_adjoint_matrices_reject_zero_or_nonfinite_constants():
+    for g in (np.zeros((35, 35, 35)), np.full((35, 35, 35), np.nan)):
+        with pytest.raises(ValueError, match="zero or not finite"):
+            alg.adjoint_matrices(g)
+
+
 def test_pair_triples_close_like_pauli_matrices():
     for trip in (alg.skyrmion_generators(), alg.antiskyrmion_generators()):
         x, y, z = trip
@@ -264,36 +278,6 @@ def test_exp_generator_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError, match="[Hh]ermit"):
         alg.exp_generator(m, 0.5)
-
-
-def test_euler_rotation_matches_eigendecomposition():
-    angle = np.deg2rad(137.5)
-    for trip in (alg.skyrmion_generators(), alg.antiskyrmion_generators()):
-        for gen in trip:
-            u_euler = alg.euler_rotation(gen, angle)
-            u_eig = alg.exp_generator(gen, angle)
-            assert np.max(np.abs(u_euler - u_eig)) < 1e-12
-
-
-def test_euler_rotation_closed_form_terms():
-    # cos/sin split checked against the explicit projector decomposition
-    gen = alg.skyrmion_generators()[0]
-    p = gen @ gen
-    angle = 0.7345
-    expected = (
-        np.eye(6)
-        - p
-        + np.cos(angle / 2) * p
-        - 1j * np.sin(angle / 2) * gen
-    )
-    assert np.max(np.abs(alg.euler_rotation(gen, angle) - expected)) < 1e-15
-
-
-def test_euler_rotation_rejects_non_involutive_support():
-    mats = alg.su6_basis().matrices
-    # o8 is diag(1,1,-2)/sqrt(2) pattern: its square is not a projector
-    with pytest.raises(ValueError, match="support"):
-        alg.euler_rotation(mats[10], 0.3)
 
 
 def test_double_cover_of_pair_rotations():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import su6lab.algebra as alg
 import su6lab.serialize as ser
 import su6lab.state as st
 from su6lab.cli import main
@@ -40,8 +41,20 @@ def test_verify_passes_on_shipped_basis(capsys):
     assert max(obj["residuals"].values()) < 1e-10
 
 
-def test_verify_names_hermiticity_for_injected_generator(capsys):
-    code, out, err = run_cli(capsys, "algebra", "verify", "--inject-non-hermitian")
+@pytest.fixture
+def non_hermitian_basis(monkeypatch):
+    """Serve a basis whose first generator has one entry off by 1e-3."""
+    basis = alg.su6_basis()
+    mats = np.array(basis.matrices)
+    mats[0, 0, 1] += 1e-3
+    broken = alg.GeneratorBasis(matrices=mats, labels=basis.labels)
+    monkeypatch.setattr(alg, "su6_basis", lambda: broken)
+    return broken
+
+
+def test_verify_names_hermiticity_for_injected_generator(capsys,
+                                                         non_hermitian_basis):
+    code, out, err = run_cli(capsys, "algebra", "verify")
     assert code == 1
     assert "hermiticity" in err
     obj = last_json(out)
@@ -49,11 +62,17 @@ def test_verify_names_hermiticity_for_injected_generator(capsys):
     assert "hermiticity" in obj["failed"]
 
 
-def test_verify_tolerance_override(capsys):
-    code, out, _ = run_cli(capsys, "algebra", "verify",
-                           "--inject-non-hermitian", "--tolerance", "0.1")
+def test_verify_tolerance_override(capsys, non_hermitian_basis):
+    code, out, _ = run_cli(capsys, "algebra", "verify", "--tolerance", "0.1")
     assert code == 0
     assert last_json(out)["pass"] is True
+
+
+def test_verify_json_residuals_are_the_algebra_rows(capsys):
+    code, out, _ = run_cli(capsys, "algebra", "verify", "--seed", "11")
+    assert code == 0
+    rows = alg.invariant_residuals(alg.su6_basis(), seed=11)
+    assert last_json(out)["residuals"] == {name: r for name, r, _ in rows}
 
 
 def test_export_writes_basis_g_and_adjoint(tmp_path, capsys):
@@ -264,6 +283,17 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_bad_flag_value_is_usage_error(capsys):
     assert main(["field", "render", "--state", "neel_out", "--grid", "1"]) == 2
     assert main(["field", "render", "--state", "neel_out", "--waist", "-2"]) == 2
+
+
+def test_grid_floor_is_the_transverse_grid_minimum(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
+                           "--grid", "15", "--out", str(tmp_path))
+    assert code == 2
+    assert ">= 16" in err
+    code, out, _ = run_cli(capsys, "field", "render", "--state", "neel_out",
+                           "--grid", "16", "--out", str(tmp_path))
+    assert code == 0
+    assert last_json(out)["grid"]["size"] == 16
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -1,0 +1,155 @@
+"""Golden outputs: the sha256 of the stdout and of every file written by
+each acceptance-criterion-10 recipe.
+
+Criterion 10 compares two runs of the same code.  These digests were
+recorded once, so any change to an emitted byte between commits fails
+here, as the rule that outputs stay byte-identical requires.  They were
+recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another
+numpy build may move the last bits of the einsum and field arithmetic
+and so the digests.
+"""
+import hashlib
+
+import pytest
+
+from su6lab.cli import main
+from test_acceptance import RECIPES
+
+GOLDEN = {
+    "algebra verify --seed 11": {
+        "<stdout>": "45e63c494e99a24f27627f04904df6670436654883a2ef65fe2524f647540a9d",
+    },
+    "algebra export --seed 11": {
+        "<stdout>": "612ac802f43811dfd54948385167b126c2f0dd595a8675b92de3e9baa46df307",
+        "adjoint.json": "07709181cf9862c4421447beea89ac0e5f882aea98b5a91a95c4aacce0ba288c",
+        "adjoint.json.json": "44651d8e77bfbe4da874fda114e66e2b2696660ee59ea1ac141200146a599eba",
+        "basis.json": "9404b60da48ae12f4e83351bea97c54a3719e524517cdbc2659a3efaa8f0c90f",
+        "basis.json.json": "83954ced328f481149ce0daa88c4845e6561478598262a1a545981493efdb1ef",
+        "g_tensor.csv": "622c0419068e3f1af3fd741dc6a5e894c1026b15ac94961530ed12575c6c7055",
+        "g_tensor.csv.json": "0fc93fbdcef65795102bbb701610a104d114c47a2125354c4763bbadd52e0ab9",
+        "g_tensor.json": "9752111a88408bba34020bc94ce458ef3a8e1f869510f8aef575e61bb798b2c0",
+        "g_tensor.json.json": "9528b7ad6fc10357484c0e1298db329d8bcbd105b4b25f97e9df44be483cb2d1",
+    },
+    "state eval --state neel_out --spheres --torus": {
+        "<stdout>": "2db03addc01d3bb5b80a2c3c772f475520607f614c74431fd8f77fcf97db7916",
+    },
+    "state eval --state basis_3": {
+        "<stdout>": "42bde1263d6a03b41f3103918aabd6cf88c05ac8f883da688910cf6b73da6767",
+    },
+    "bench run --bench fig1": {
+        "<stdout>": "4387ff1345b394e4e19178899d75dc271bf68f18cfe8e908f1e8926e4c5f9f26",
+        "camera_state.json": "d9d9903bece6b0bea27ce96d286e31f0ad375de707da98ee695b05ab316d049b",
+        "camera_state.json.json": "940d3fa0ee48a212f18eb57ecb47fac46b7e50d12079899cff3452fc7e27582b",
+    },
+    "bench run --bench antiskyrmion": {
+        "<stdout>": "7ef0617e026383052c6ec65b979de24f58e45f899b04ff7b981db60b8cbf3bfb",
+        "camera_state.json": "69d2d7b6e6225626a05a17a56b69fba7cb12c010f1c9b8016bd087414bd5bc76",
+        "camera_state.json.json": "3048898b05632e344bb995d77faaeb16d9e99f6cb3fcbb3f55f18fbc2c7edd03",
+    },
+    "bench sweep --bench fig1 --element HWP3 --fields --grid 32": {
+        "<stdout>": "05a53d79a41bedfec6a43a2b632bdde299bc6e3b95994e185bc51e765eee5cd3",
+        "stokes_000.csv": "84b3734a446f0bbd58577f302ecb794c4ce066f133b96a6445f6daabcbc51668",
+        "stokes_000.csv.json": "da4c16f0c38ec529103a11fb4e9f8b8687dafd56b10615de1e1ee05d17ec176b",
+        "stokes_001.csv": "171f306c19e0543afab4b9c49ca615391b3bffa74b1337eb38eda1177b88df54",
+        "stokes_001.csv.json": "5576943ed76b288b44e603fd6f92c160a9dd776ae56748bc89b859f0a8768c71",
+        "stokes_002.csv": "12963ed7d8fa3860ed4ac51417ea8e0dc07d9dfa63eac87dff007e3ba9658874",
+        "stokes_002.csv.json": "851580be7b5033f0f2226ab2d4f8cf519efa62e7710ac412d7a604dc66eba67b",
+        "stokes_003.csv": "6f7a8c19ce33cd285e3c12642b40b5f0511041bf342c1c148b2e4f2ce6fe50cb",
+        "stokes_003.csv.json": "115d55e8c4baae444c159a7913acb143021e37eba67698fc6b531000b0be6063",
+        "stokes_004.csv": "4a17828fef2bbcc80870dfa675c631334961537dedc18216dfa0a69667b10560",
+        "stokes_004.csv.json": "ee047eec3f9f7b36bbfce69c85c093e5d6fe74d6fc1221b9b7b30f44ad43fe05",
+        "stokes_005.csv": "395b6e75c082d3bde5aff02229ed2d955da253d4280f863f3aa356472b864f66",
+        "stokes_005.csv.json": "205b7a0dc8e6fdf08863e5615844e0e4ae02e283b2d2ff0d2c49c583404b4416",
+        "stokes_006.csv": "744e809f8f0baefee2e4a492623bc816b9a7f7363dc81bdd2fdd6948f82d9fda",
+        "stokes_006.csv.json": "a136d938040e131015af4130f966b0fb5a70eeb22e95069ba3a428e389a30ead",
+        "stokes_007.csv": "f7126043f0ee11dbc5e4b100801d24ef2e3921261cdd525c547c5fef3cfd9b71",
+        "stokes_007.csv.json": "98f312ccd86192382c14589bc9fb66e8e2b5b0dd409731e895196ab75aa8caf6",
+        "stokes_008.csv": "844e25b1ad34e27f872bba07f2836383a5f571fd68246682c3805153b435bb3f",
+        "stokes_008.csv.json": "da46e5f1fecbbcd18f623c9bc6a1ccd927d9c08b29bf7481fbe357c7869864e6",
+        "stokes_009.csv": "7377658d6ca16e357b272192b224e7723a21b9bc4cc7ddf4fc4d954cece1aff8",
+        "stokes_009.csv.json": "fc1fcac5d620b1edd36eec12216a6697b0ce735fd5020ac99c5bae33ce4aa7a3",
+        "stokes_010.csv": "c32dad9a46b0ac04366078e846201606cb629b67550492625c1d2fcf3be57ea4",
+        "stokes_010.csv.json": "2cff0bacb9a356a3494beca31d08e9ea74738e1065046e19756b74a9a62a4948",
+        "stokes_011.csv": "9f39f965e92a45097564181967e1460ee1f4e5946509403019a54c3e23b13fa2",
+        "stokes_011.csv.json": "fab63d7401b75521402304f56a66d425ecbb0339c4080ad9436090ca965ee744",
+        "stokes_012.csv": "65c24917488887f970ab0e850b10640a6d2908b31ed4f42561eb12da66a740fe",
+        "stokes_012.csv.json": "9ef4c3b05b006cfabaefec6b8c5391b13f8009147b05976889093a5ab788f09d",
+        "stokes_013.csv": "77bca17431249b0a8458ccf2fc6af4f6e36faa50b71002f148183a227d30c5ec",
+        "stokes_013.csv.json": "d0a5a65e2564ec2505095f9c3f6b5c18dedfb288014331827868d53b4a029995",
+        "stokes_014.csv": "4c24b64f3b9322dbaf388c9e56e201a6a4f4d6308614a3a83c4a6b64d6f9df19",
+        "stokes_014.csv.json": "ecdfa8f128ba38e1294f948048fd95c172ceefdeb1992651c768b234c433ae92",
+        "stokes_015.csv": "6a9a83ce75d86c3fdb9f912bfe6716961ba3f11c72c1ec90bf380cd7350575c1",
+        "stokes_015.csv.json": "cc12eca44d080290eb9eac8f9db5e9bdd970e214ba37b04a274c5f7b8e49fc9d",
+        "stokes_016.csv": "8b8f336aa9ee14cb7f6472d2af9c0ce2a35559d4783b6bfcb51a735d7fa7334f",
+        "stokes_016.csv.json": "e8f46d0bacadd2dc596cbacbf470d585250b00a484b3ec91147f29994918dbf7",
+        "stokes_017.csv": "36dd812012e0321f52124376f7e300f137e247524bb6e6117e334b3c16f24a5c",
+        "stokes_017.csv.json": "8a3ead3af46d9acadb43a2d14d9233e100b9133cd6a44505d28da510bae402c3",
+        "stokes_018.csv": "369f2b66a816a9fa975396dc5eade8d6983fc216db9487c5cfd263ed5d480803",
+        "stokes_018.csv.json": "f7ae515ca9e6c63f321106bdaee214561776e3b2a46781cf3cc62e1cf369a56d",
+        "trajectory.csv": "2cc778050dda12e2f6e79f410b38bffa17ef18276ed48900da1b21cfdbcda5c6",
+        "trajectory.csv.json": "4ad609197ac1504d875cc872a3517c4e2c2e51c0257aa3b346e011006f99a2a9",
+    },
+    "bench sweep --bench fig1 --element HWP1": {
+        "<stdout>": "5e794e255cab1bf2419e661bcffe07330ca5b0d2012a276b266245be01f26e89",
+        "trajectory.csv": "5ae26778545b657bb1edeca171963dfbc49044d61b4c67b15d347d722c1b2003",
+        "trajectory.csv.json": "a0d3047294d05e0262991826bb298ec54a308b5008e51697f24c2bb8f9141a95",
+    },
+    "field render --state neel_out --grid 64 --skyrmion-number --bubble 16,32": {
+        "<stdout>": "a07b17653abb1534e036ac3a987e068ca3b5a95372c57e7d78c1cf112eb74314",
+        "bubble.csv": "242110b4874847b047f019dc5c458352267dcbbb5836e7122f9529833b901232",
+        "bubble.csv.json": "36da5e2f346a637ed2674d3ab800829875f58e400f7c8f0ec7bb83f1d032c46a",
+        "s0.pgm": "d446c281caff7bb72b8d51ca4ce2ede807b862f27fe91208a64338d2b24d2c03",
+        "s0.pgm.json": "d0e72cf08c822055ea4138a33d240c3c3edc88e5348e9e103d9a238d2f1514fe",
+        "s1.pgm": "f1d106006f9076d0be667559fd24543d9ce1c3306f9912bacba9fe41b26afd6f",
+        "s1.pgm.json": "75483d95c47aebfc28aad4d2e667f6df05e4f2eebf033fe250063dfd52138581",
+        "s2.pgm": "bf73853b0e662208c1730ab350ab8b53eb0778bf8029ebd435942554bfcb94c4",
+        "s2.pgm.json": "2a981f20145179cf2f023f5e20afc0760b232320cb8f326dc1abcdadf8cba30c",
+        "s3.pgm": "606f62aaba902de08c25a74e5d52786a60a2d840df4180ba598d6644d7dda737",
+        "s3.pgm.json": "879a5a5385199805c0c2ef94e3612ceb382c91671201ed1bb5d23ce1ced9bc23",
+        "stokes.csv": "28b1f8e0be78d740b0b99d793c07b2221f316e035e2ce0da612745f63d87daf6",
+        "stokes.csv.json": "65d6d305850593da6463ed27c9f8ddd65158a1d8ab7ab713a100a1bfa2d16bc0",
+    },
+    "field render --state basis_3 --grid 64 --skyrmion-number": {
+        "<stdout>": "376a8ad745c7b960852fc36a88e61ab755b269593d9613ac488dbe0fd904583a",
+        "s0.pgm": "70db619e7bed80e0748102b3dc745dfff9bbb77c41c3d0509723fba25ab06935",
+        "s0.pgm.json": "80405a15c9b91f4b06265a50006033eb52d8985261922eabfcee389788d82323",
+        "s1.pgm": "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
+        "s1.pgm.json": "c977a9b19fc75f2c873c6d8b2edb057f57f2970b603cab7c9564a712b46aed6f",
+        "s2.pgm": "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
+        "s2.pgm.json": "cccaa7cc16687e29b9e98be67844b9190799a4f7a1ca91ca8832c8c3e4166b41",
+        "s3.pgm": "70db619e7bed80e0748102b3dc745dfff9bbb77c41c3d0509723fba25ab06935",
+        "s3.pgm.json": "c7ea653e80265e868f1547a1d6040d41fb59de8c4d6240dddb03f4483baa1a80",
+        "stokes.csv": "144d378a839c72c7481a730ad9437b6ebf2b2092463dde2baf403275b952e55f",
+        "stokes.csv.json": "330384edf915b74d91eece459a1aaad59d76d72b1634902e0535c9e57d863bc1",
+    },
+    "field render --state dipolar --grid 64": {
+        "<stdout>": "037f637c4b92f94165eaafbb556f635a09744e8984adcd02375eea734e7de356",
+        "s0.pgm": "37e77b3530e1099d900d7ad7792454f52df55a160018387d2e90dacd250f6c67",
+        "s0.pgm.json": "290225d570a339116316511fa3939586cebfc413727398f4f6ec6228c5cda341",
+        "s1.pgm": "f1d106006f9076d0be667559fd24543d9ce1c3306f9912bacba9fe41b26afd6f",
+        "s1.pgm.json": "76e4ee6aa8f2fd2e23aab89492ecafa709efb5ef3e02ad6378ea3cbf6a576f72",
+        "s2.pgm": "3db2fca03e6a810872bd3b10250e830fadbf388db957b79ee41ae59f003392a9",
+        "s2.pgm.json": "6013bb088719eb78abbd59e009f44d2aaa9e8a2a28985b5ea1028819d9762f3a",
+        "s3.pgm": "4bae542f44d30fd2a22c13421d0c48eb774d6f0e2bec0febd9c86855e39183f7",
+        "s3.pgm.json": "34a65c1d789dd168062a265796f136616aa29967017d9948fd1d80bb0f0ca438",
+        "stokes.csv": "7f5d277d80eb16be3f46238364985dad18fd4882075c2f41ea85637cb4bee6c3",
+        "stokes.csv.json": "e36ad0ea54ee79d922e29e213b5a0c0131fbf5623dfa5878bdb109708791777f",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_table_covers_every_recipe():
+    assert sorted(GOLDEN) == sorted(" ".join(r) for r in RECIPES)
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=" ".join)
+def test_recipe_outputs_match_golden_digests(recipe, tmp_path, capsys):
+    assert main([*recipe, "--out", str(tmp_path)]) == 0
+    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    for path in sorted(tmp_path.iterdir()):
+        got[path.name] = _sha256(path.read_bytes())
+    assert got == GOLDEN[" ".join(recipe)]

@@ -319,8 +319,8 @@ def test_subsphere_enumeration_partitions_all_pairs():
 
 def test_primary_subsphere_triples_match_generator_triples():
     subs = {sub.pair: sub for sub in st.enumerate_subspheres()}
-    assert np.allclose(subs[(3, 4)].triple, alg.skyrmion_generators(), atol=1e-15)
-    assert np.allclose(subs[(3, 5)].triple, alg.antiskyrmion_generators(), atol=1e-15)
+    assert np.array_equal(subs[(3, 4)].triple, alg.skyrmion_generators())
+    assert np.array_equal(subs[(3, 5)].triple, alg.antiskyrmion_generators())
 
 
 def test_subsphere_point_on_conjugate_skyrmion_pair():
