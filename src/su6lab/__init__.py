@@ -26,6 +26,7 @@ from .algebra import (
     su6_basis,
 )
 from .field import (
+    TopologicalCharge,
     TransverseGrid,
     classify_texture,
     lg_mode,
@@ -34,6 +35,7 @@ from .field import (
     soup_bubble,
     stokes_fields,
     synthesize,
+    topological_charge,
 )
 from .optics import (
     BenchParseError,
@@ -48,6 +50,7 @@ from .state import CoherentState, named_state
 __all__ = [
     "BenchParseError",
     "CoherentState",
+    "TopologicalCharge",
     "TransverseGrid",
     "adjoint_matrices",
     "antiskyrmion_generators",
@@ -71,6 +74,7 @@ __all__ = [
     "structure_constants",
     "su6_basis",
     "synthesize",
+    "topological_charge",
 ]
 
 __version__ = "0.1.0"

@@ -9,11 +9,18 @@ the unit spin texture n = (S1, S2, S3)/S0, defined where S0 exceeds
 
 The topological charge is computed two independent ways:
 
-* ``skyrmion_number`` integrates the density n . (dn/dx x dn/dy) / 4pi
-  with central finite differences, trapezoidal over grid plaquettes.
-* ``skyrmion_number_solid_angle`` sums spherical-triangle solid angles
-  of the unit vectors at plaquette corners (the lattice-exact degree of
-  the discrete map).
+* the finite-difference route integrates the density
+  n . (dn/dx x dn/dy) / 4pi with central finite differences, trapezoidal
+  over grid plaquettes;
+* the solid-angle route sums spherical-triangle solid angles of the unit
+  vectors at plaquette corners (the lattice-exact degree of the discrete
+  map).
+
+``topological_charge`` takes both routes in one pass and returns them
+with the closure diagnostics.  The report is kept on the field, whose
+arrays are read-only, so one pass per field and disk radius serves both
+routes; ``skyrmion_number`` and ``skyrmion_number_solid_angle`` read
+their route from it.
 
 Both routes close the texture outside the integration disk by
 saturating it at the average rim spin: spins outside the disk (or where
@@ -29,6 +36,7 @@ so no stencil straddles the artificial closure step.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +52,7 @@ from .state import (
 __all__ = [
     "SpinTextureMap",
     "StokesField",
+    "TopologicalCharge",
     "TransverseGrid",
     "classify_texture",
     "lg_mode",
@@ -53,6 +62,7 @@ __all__ = [
     "soup_bubble",
     "stokes_fields",
     "synthesize",
+    "topological_charge",
 ]
 
 _S0_CUTOFF = 1e-12
@@ -104,7 +114,11 @@ class TransverseGrid:
 
 @dataclass(frozen=True, eq=False)
 class StokesField:
-    """Gridded Stokes fields and the unit spin texture."""
+    """Gridded Stokes fields and the unit spin texture.
+
+    ``stokes_fields`` makes the arrays read-only: the charge reports kept
+    on the field assume they never change.
+    """
 
     grid: TransverseGrid
     s0: np.ndarray
@@ -113,6 +127,30 @@ class StokesField:
     s3: np.ndarray
     n: np.ndarray
     mask: np.ndarray
+    # TopologicalCharge by float disk radius, filled by topological_charge
+    _charges: dict = dataclasses.field(default_factory=dict, init=False,
+                                       repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class TopologicalCharge:
+    """Charge of the closed texture over a disk by both routes.
+
+    ``closure`` is the solid-angle charge outside the defined interior
+    plaquettes, the part both routes share.  ``rim_spin`` is the unit
+    saturation direction and ``rim_alignment`` the smallest rim spin .
+    rim_spin (the charge is refused below 0).  ``undefined_fraction`` is
+    the share of disk pixels below the intensity cutoff (refused above
+    0.25).
+    """
+
+    finite_difference: float
+    solid_angle: float
+    closure: float
+    rim_spin: np.ndarray
+    rim_alignment: float
+    undefined_fraction: float
+    disk_radius: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +218,8 @@ def stokes_fields(
     mask = s0 > _S0_CUTOFF * s0.max()
     n = np.zeros(shape + (3,))
     n[mask] = np.stack((s1[mask], s2[mask], s3[mask]), axis=-1) / s0[mask, None]
+    for arr in (s0, s1, s2, s3, n, mask):
+        arr.setflags(write=False)
     return StokesField(grid=grid, s0=s0, s1=s1, s2=s2, s3=s3, n=n, mask=mask)
 
 
@@ -230,12 +270,13 @@ def _continue_past_cutoff(sf: StokesField):
     return sf.n[rows, cols]
 
 
-def _closed_texture(sf: StokesField, disk_radius: float):
+def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     grid = sf.grid
     disk = grid.rr <= disk_radius
     if not disk.any():
         raise ValueError("integration disk contains no grid pixels")
     undefined = disk & ~sf.mask
+    undefined_fraction = float(undefined.sum() / disk.sum())
     if undefined.sum() > 0.25 * disk.sum():
         pct = round(100.0 * undefined.sum() / disk.sum())
         raise ValueError(
@@ -252,15 +293,16 @@ def _closed_texture(sf: StokesField, disk_radius: float):
         & mask[1:-1, :-2]
         & mask[1:-1, 2:]
     )
-    rim = mask & ~inner
-    mean = sf.n[rim].mean(axis=0)
+    rim_spins = sf.n[mask & ~inner]
+    mean = rim_spins.mean(axis=0)
     scale = np.linalg.norm(mean)
-    if scale < 1e-6 or np.min(sf.n[rim] @ (mean / max(scale, 1e-300))) < 0.0:
+    n_sat = mean / max(scale, 1e-300)
+    alignment = float(np.min(rim_spins @ n_sat))
+    if scale < 1e-6 or alignment < 0.0:
         raise ValueError(
             "rim spins do not saturate toward a common direction; the "
             "disk boundary cuts the texture and its charge is undefined"
         )
-    n_sat = mean / scale
     closed = np.where(mask[..., None], sf.n, n_sat)
 
     padded = np.empty((grid.size + 2, grid.size + 2, 3))
@@ -284,24 +326,45 @@ def _closed_texture(sf: StokesField, disk_radius: float):
     plaq = 0.25 * (rho[:-1, :-1] + rho[:-1, 1:] + rho[1:, 1:] + rho[1:, :-1])
     fd_interior = (plaq[interior] * h * h).sum()
 
-    fd_total = fd_interior + (bl_total - bl_interior)
-    return fd_total, bl_total
+    closure = bl_total - bl_interior
+    n_sat.setflags(write=False)
+    return TopologicalCharge(
+        finite_difference=float(fd_interior + closure),
+        solid_angle=float(bl_total),
+        closure=float(closure),
+        rim_spin=n_sat,
+        rim_alignment=alignment,
+        undefined_fraction=undefined_fraction,
+        disk_radius=disk_radius,
+    )
+
+
+def topological_charge(
+    sf: StokesField, disk_radius: float | None = None
+) -> TopologicalCharge:
+    """Both charge routes and the closure diagnostics over the disk
+    (default: the grid extent).
+
+    The pass runs once per field and disk radius; the report is kept on
+    the field.  A refused charge raises ValueError on every call.
+    """
+    r = float(sf.grid.extent if disk_radius is None else disk_radius)
+    report = sf._charges.get(r)
+    if report is None:
+        report = sf._charges[r] = _closed_texture(sf, r)
+    return report
 
 
 def skyrmion_number(sf: StokesField, disk_radius: float | None = None) -> float:
     """Topological charge over the disk by the finite-difference route."""
-    if disk_radius is None:
-        disk_radius = sf.grid.extent
-    return float(_closed_texture(sf, disk_radius)[0])
+    return topological_charge(sf, disk_radius).finite_difference
 
 
 def skyrmion_number_solid_angle(
     sf: StokesField, disk_radius: float | None = None
 ) -> float:
     """Topological charge by the triangle solid-angle route."""
-    if disk_radius is None:
-        disk_radius = sf.grid.extent
-    return float(_closed_texture(sf, disk_radius)[1])
+    return topological_charge(sf, disk_radius).solid_angle
 
 
 # --------------------------------------------------------------- sphere map

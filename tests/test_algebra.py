@@ -173,6 +173,23 @@ def test_structure_constants_rejects_non_hermitian_basis():
         alg.structure_constants(bad)
 
 
+def test_nan_input_fails_the_hermiticity_checks():
+    # NaN residuals compare False against any tolerance, so the checks
+    # are written as "not resid <= tol"
+    with pytest.raises(ValueError, match="generator is not Hermitian"):
+        alg.exp_generator(np.full((6, 6), np.nan), 1.0)
+    basis = alg.su6_basis()
+    mats = basis.matrices.copy()
+    mats[4, 2, 2] = np.nan
+    bad = alg.GeneratorBasis(matrices=mats, labels=basis.labels)
+    with pytest.raises(ValueError, match="'o2' is not Hermitian"):
+        alg.structure_constants(bad)
+    all_nan = alg.GeneratorBasis(matrices=np.full_like(mats, np.nan),
+                                 labels=basis.labels)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        alg.structure_constants(all_nan)
+
+
 def test_adjoint_matrices_antisymmetric_with_unit_closure():
     g = alg.structure_constants()
     adj = alg.adjoint_matrices(g)
@@ -252,6 +269,18 @@ def test_adjoint_matrices_reject_zero_or_nonfinite_constants():
     for g in (np.zeros((35, 35, 35)), np.full((35, 35, 35), np.nan)):
         with pytest.raises(ValueError, match="zero or not finite"):
             alg.adjoint_matrices(g)
+
+
+def test_adjoint_closure_failure_reports_the_fitted_residual():
+    g = alg.structure_constants().copy()
+    g[0, 1, 2] += 1e-3
+    G = -g
+    lhs = np.einsum("lab,mbc->lmac", G, G) - np.einsum("mab,lbc->lmac", G, G)
+    rhs = np.einsum("lmn,nac->lmac", g, G)
+    c = np.sum(lhs * rhs) / np.sum(rhs * rhs)
+    resid = np.max(np.abs(lhs - c * rhs))
+    with pytest.raises(RuntimeError, match=f"residual {resid:.3e} > 1.0e-10"):
+        alg.adjoint_matrices(g)
 
 
 def test_pair_triples_close_like_pauli_matrices():

@@ -329,3 +329,14 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["hypersphere_norm"] == pytest.approx(
         np.sqrt(5.0 / 3.0), abs=1e-12
     )
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # scipy.linalg (exp_adjoint) and scipy.ndimage (the charge pass) load
+    # on first use, so commands that need neither do not pay for them
+    code = ("import sys, su6lab.cli; print(sorted(m for m in "
+            "('scipy.linalg', 'scipy.ndimage') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

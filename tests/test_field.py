@@ -220,6 +220,107 @@ def test_skyrmion_numbers_of_named_textures(name, charge):
     assert abs(s_fd - s_bl) < 1e-4
 
 
+# both routes at grid 256, disk 3.0, pinned bit for bit
+PINNED_CHARGES = [
+    ("neel_out", 0.9999964118587513, 1.0),
+    ("neel_in", 0.9999964118587513, 1.0),
+    ("bloch_left", 0.9999964118587513, 1.0),
+    ("bloch_right", 0.9999964118587513, 1.0),
+    ("antiskyrmion_h", -0.9999964118587513, -1.0),
+    ("antiskyrmion_v", -0.9999964118587513, -1.0),
+]
+
+
+@pytest.mark.parametrize("name,fd_charge,sa_charge", PINNED_CHARGES)
+def test_charge_routes_are_bit_stable(name, fd_charge, sa_charge):
+    sf = stokes_for(name)
+    assert fd.skyrmion_number(sf, disk_radius=3.0) == fd_charge
+    assert fd.skyrmion_number_solid_angle(sf, disk_radius=3.0) == sa_charge
+    report = fd.topological_charge(sf, 3.0)
+    assert (report.finite_difference, report.solid_angle) == (fd_charge, sa_charge)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Disk radius of every topology pass run while the test runs."""
+    radii = []
+    original = fd._closed_texture
+
+    def counting(sf, disk_radius):
+        radii.append(disk_radius)
+        return original(sf, disk_radius)
+
+    monkeypatch.setattr(fd, "_closed_texture", counting)
+    return radii
+
+
+def test_one_topology_pass_per_field_and_disk(passes):
+    sf = stokes_for("neel_out")
+    for r in (3.0, 2.5):
+        fd.skyrmion_number(sf, disk_radius=r)
+        fd.skyrmion_number_solid_angle(sf, disk_radius=r)
+    # the default disk is the grid extent, 3.0
+    assert fd.topological_charge(sf) is fd.topological_charge(sf, 3)
+    assert passes == [3.0, 2.5]
+    # a fresh field of the same state gets its own pass
+    fd.skyrmion_number(stokes_for("neel_out"), disk_radius=3.0)
+    assert passes == [3.0, 2.5, 3.0]
+
+
+def test_refused_charge_is_not_kept(passes):
+    sf = stokes_for("dipolar")
+    messages = []
+    for route in (fd.skyrmion_number, fd.skyrmion_number_solid_angle):
+        with pytest.raises(ValueError, match="saturat") as exc:
+            route(sf, disk_radius=3.0)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert passes == [3.0, 3.0]
+
+
+def test_stokes_field_arrays_are_read_only():
+    sf = stokes_for("neel_out")
+    for name in ("s0", "s1", "s2", "s3", "n", "mask"):
+        arr = getattr(sf, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+
+
+def test_charge_report_diagnostics():
+    # the disk reaches past the intensity cutoff, short of the refusal
+    g = fd.TransverseGrid(size=64, extent=8.0)
+    sf = stokes_for("neel_out", grid=g)
+    disk = g.rr <= 4.25
+    report = fd.topological_charge(sf, 4.25)
+    assert report.undefined_fraction == (disk & ~sf.mask).sum() / disk.sum()
+    assert 0.0 < report.undefined_fraction < 0.25
+    assert report.solid_angle == pytest.approx(1.0, abs=1e-9)
+    assert report.finite_difference == pytest.approx(1.0, abs=2e-2)
+    assert np.allclose(report.rim_spin, [0.0, 0.0, -1.0], atol=1e-15)
+    assert not report.rim_spin.flags.writeable
+    assert 0.0 < report.rim_alignment <= 1.0
+    assert report.disk_radius == 4.25
+    # a uniform texture saturates exactly and has nothing to close
+    uniform = fd.topological_charge(stokes_for("basis_3"), 3.0)
+    assert (uniform.closure, uniform.rim_alignment) == (0.0, 1.0)
+
+
+def test_disk_inside_the_flip_ring_shows_in_the_report():
+    # neel_out turns from +z on the axis to -z outside; a disk inside the
+    # flip ring closes on the axis spin and the charge reads 0, which the
+    # rim spin shows against the full-disk report
+    sf = stokes_for("neel_out")
+    centre = np.unravel_index(np.argmin(sf.grid.rr), sf.grid.rr.shape)
+    small = fd.topological_charge(sf, 0.5)
+    full = fd.topological_charge(sf, 3.0)
+    assert small.solid_angle == pytest.approx(0.0, abs=1e-9)
+    assert small.finite_difference == pytest.approx(0.0, abs=1e-3)
+    assert small.rim_spin @ sf.n[centre] > 0
+    assert full.solid_angle == pytest.approx(1.0, abs=1e-9)
+    assert full.rim_spin @ sf.n[centre] < 0
+
+
 def test_uniform_texture_has_exactly_zero_charge():
     sf = stokes_for("basis_3")
     assert fd.skyrmion_number(sf, disk_radius=3.0) == 0.0

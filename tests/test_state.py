@@ -94,6 +94,11 @@ def test_expectation_rejects_non_hermitian():
         st.expectation(st.named_state("neel_out"), m)
 
 
+def test_expectation_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        st.expectation(st.named_state("neel_out"), np.full((6, 6), np.nan))
+
+
 def test_observable_vector_radius_is_sqrt_5_3():
     basis = alg.su6_basis()
     rng = np.random.default_rng(RNG_SEED)
