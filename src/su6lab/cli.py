@@ -36,8 +36,9 @@ class _UsageError(Exception):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
     return value
 
 

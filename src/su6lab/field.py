@@ -3,7 +3,8 @@
 A six-amplitude state is rendered onto a square grid as a pair of
 circular-polarization field components built from the three lowest
 Laguerre-Gauss modes (orbital charges +1, -1, 0, common waist, waist
-plane, no propagation).  From the pair come the four Stokes fields and
+plane, no propagation).  The three modes are built once per grid and
+waist and kept read-only.  From the pair come the four Stokes fields and
 the unit spin texture n = (S1, S2, S3)/S0, defined where S0 exceeds
 1e-12 of its peak.
 
@@ -32,13 +33,20 @@ contribution itself is evaluated once with the solid-angle rule and
 shared, so the two results differ only by the interior quadrature.
 The derivatives themselves are taken on the texture continued past the
 intensity cutoff by nearest defined pixel, never on the saturated map,
-so no stencil straddles the artificial closure step.
+so no stencil straddles the artificial closure step.  The continuation
+runs only when a stencil that feeds the charge reads a dark pixel;
+otherwise it would change no value that is used.
+
+The topology kernels work on the three component planes of the texture,
+strip by strip, and repeat the arithmetic of np.einsum and np.cross on
+(..., 3) vectors term for term, so each charge is the same float as the
+vector formulas give.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,6 +74,7 @@ __all__ = [
 ]
 
 _S0_CUTOFF = 1e-12
+_STRIP = 32  # rows per block of the topology kernels
 MIN_GRID = 16  # smallest grid side in pixels, also the CLI --grid floor
 
 
@@ -164,33 +173,57 @@ class SpinTextureMap:
     bins: tuple[int, int]
 
 
+@lru_cache(maxsize=1)
+def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
+    # the LG modes m = +1, -1, 0, read-only and built once per grid and
+    # waist.  exp(-i phi) is the conjugate of exp(i phi) bit for bit, so
+    # one complex exp serves both vortices; conjugating the finished
+    # m = +1 mode instead would flip the sign of its zero imaginary parts
+    if not waist > 0:
+        raise ValueError(f"waist must be positive, got {waist}")
+    envelope = np.exp(-((grid.rr / waist) ** 2))
+    ring = (np.sqrt(2.0) * grid.rr / waist) * envelope
+    phase = np.exp(1j * grid.phi)
+    plus = ring * phase
+    minus = ring * np.conj(phase)
+    # |plus| equals |minus| pixel by pixel, so they share the norm
+    scale = np.sqrt(np.sum(np.abs(plus) ** 2) * grid.area)
+    zero = envelope.astype(complex)
+    stack = (plus / scale, minus / scale,
+             zero / np.sqrt(np.sum(np.abs(zero) ** 2) * grid.area))
+    for u in stack:
+        u.setflags(write=False)
+    return stack
+
+
+_MODE_INDEX = {1: 0, -1: 1, 0: 2}
+
+
 def lg_mode(grid: TransverseGrid, m: int, waist: float = 1.0) -> np.ndarray:
     """Laguerre-Gauss mode of orbital charge m in {-1, 0, +1}.
 
     m = 0 is the Gaussian exp(-r^2/w^2); m = +-1 carry the ring envelope
     (sqrt(2) r / w) exp(-r^2/w^2) and the azimuthal phase exp(i m phi).
-    L2-normalized on the grid.
+    L2-normalized on the grid.  The array is read-only and shared: the
+    modes are built once per grid and waist.
     """
-    if m not in (-1, 0, 1):
+    if m not in _MODE_INDEX:
         raise ValueError(f"orbital charge m must be -1, 0 or +1, got {m}")
-    if not waist > 0:
-        raise ValueError(f"waist must be positive, got {waist}")
-    envelope = np.exp(-((grid.rr / waist) ** 2))
-    if m == 0:
-        u = envelope.astype(complex)
-    else:
-        u = (np.sqrt(2.0) * grid.rr / waist) * envelope * np.exp(1j * m * grid.phi)
-    return u / np.sqrt(np.sum(np.abs(u) ** 2) * grid.area)
+    return _mode_stack(grid, waist)[_MODE_INDEX[m]]
 
 
 def synthesize(
     state: CoherentState, grid: TransverseGrid, waist: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field pair (E_left, E_right) of the circular polarizations."""
-    modes = (lg_mode(grid, 1, waist), lg_mode(grid, -1, waist), lg_mode(grid, 0, waist))
+    modes = _mode_stack(grid, waist)
     a = state.alpha
-    e_left = a[0] * modes[0] + a[1] * modes[1] + a[2] * modes[2]
-    e_right = a[3] * modes[0] + a[4] * modes[1] + a[5] * modes[2]
+    e_left = a[0] * modes[0]
+    e_left += a[1] * modes[1]
+    e_left += a[2] * modes[2]
+    e_right = a[3] * modes[0]
+    e_right += a[4] * modes[1]
+    e_right += a[5] * modes[2]
     return e_left, e_right
 
 
@@ -201,7 +234,8 @@ def stokes_fields(
 
     S3 > 0 means the left-circular (spin up) component dominates.  The
     spin texture n is set to the zero vector where S0 is below 1e-12 of
-    its peak.
+    its peak.  Its three components are stored as contiguous planes:
+    ``n[..., k]`` is contiguous.
     """
     shape = (grid.size, grid.size)
     if e_left.shape != shape or e_right.shape != shape:
@@ -214,10 +248,11 @@ def stokes_fields(
     s0 = il + ir
     s1 = 2.0 * np.real(cross)
     s2 = 2.0 * np.imag(cross)
-    s3 = il - ir
+    s3 = np.subtract(il, ir, out=il)
     mask = s0 > _S0_CUTOFF * s0.max()
-    n = np.zeros(shape + (3,))
-    n[mask] = np.stack((s1[mask], s2[mask], s3[mask]), axis=-1) / s0[mask, None]
+    n = np.moveaxis(np.zeros((3,) + shape), 0, -1)
+    for k, s in enumerate((s1, s2, s3)):
+        np.divide(s, s0, out=n[..., k], where=mask)
     for arr in (s0, s1, s2, s3, n, mask):
         arr.setflags(write=False)
     return StokesField(grid=grid, s0=s0, s1=s1, s2=s2, s3=s3, n=n, mask=mask)
@@ -226,48 +261,96 @@ def stokes_fields(
 # ---------------------------------------------------------------- topology
 
 
-def _triangle_solid_angles(n1, n2, n3):
-    num = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", n1, n2)
-        + np.einsum("...i,...i->...", n2, n3)
-        + np.einsum("...i,...i->...", n3, n1)
+# Vector fields here are (3, rows, cols) stacks of component planes.  The
+# dot and cross products below repeat, term for term, the arithmetic of
+# np.einsum("...i,...i->...") and np.cross on (..., 3) arrays, so every
+# value matches those formulas bit for bit.
+
+
+def _dot(u, v):
+    # einsum sums a three-term dot product as (p0 + p2) + p1
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
-    return 2.0 * np.arctan2(num, den)
 
 
 def _plaquette_solid_angles(spins):
-    a = spins[:-1, :-1]
-    b = spins[:-1, 1:]
-    c = spins[1:, 1:]
-    d = spins[1:, :-1]
-    return _triangle_solid_angles(a, b, c) + _triangle_solid_angles(a, c, d)
+    # plaquette corners a b / d c, split into triangles (a, b, c) and
+    # (a, c, d); each edge dot product is taken once for both triangles
+    a = spins[:, :-1, :-1]
+    b = spins[:, :-1, 1:]
+    c = spins[:, 1:, 1:]
+    d = spins[:, 1:, :-1]
+    horiz = _dot(spins[:, :, :-1], spins[:, :, 1:])
+    vert = _dot(spins[:, :-1], spins[:, 1:])
+    diag = _dot(a, c)
+    abc = np.arctan2(_dot(a, _cross(b, c)), 1.0 + horiz[:-1] + vert[:, 1:] + diag)
+    acd = np.arctan2(_dot(a, _cross(c, d)), 1.0 + diag + horiz[1:] + vert[:, :-1])
+    return 2.0 * abc + 2.0 * acd
+
+
+def _by_strips(kernel, out, values, before, after):
+    # out[i] = kernel(values rows i - before .. i + after)[i], one strip of
+    # rows at a time so the kernel's temporaries stay in cache; the window
+    # is clipped at the edges, where the kernel applies its border rules
+    for i in range(0, out.shape[0], _STRIP):
+        lo = max(i - before, 0)
+        out[i:i + _STRIP] = kernel(values[:, lo:i + _STRIP + after])[
+            i - lo:i - lo + _STRIP
+        ]
+    return out
 
 
 def _central_diff(values, spacing, axis):
-    # fourth-order symmetric stencil; np.gradient covers the two-pixel
-    # border where that stencil does not fit
-    grad = np.gradient(values, spacing, axis=axis)
+    # fourth-order symmetric stencil; the two-pixel border where it does
+    # not fit takes np.gradient's formulas, one-sided at the edge
+    grad = np.empty_like(values)
     v = np.moveaxis(values, axis, 0)
     g = np.moveaxis(grad, axis, 0)
     g[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (
         12.0 * spacing
     )
+    g[0] = (v[1] - v[0]) / spacing
+    g[1] = (v[2] - v[0]) / (2.0 * spacing)
+    g[-2] = (v[-1] - v[-3]) / (2.0 * spacing)
+    g[-1] = (v[-1] - v[-2]) / spacing
     return grad
 
 
-def _continue_past_cutoff(sf: StokesField):
+def _charge_density(spins, spacing):
+    # rho = n . (dn/dx x dn/dy) / 4pi
+    gx = _central_diff(spins, spacing, axis=2)
+    gy = _central_diff(spins, spacing, axis=1)
+    return _dot(spins, _cross(gx, gy)) / (4.0 * np.pi)
+
+
+def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     # derivatives need a smooth field; dark pixels inherit the spin of
-    # the nearest defined pixel instead of an arbitrary constant
-    if sf.mask.all():
-        return sf.n
+    # the nearest defined pixel instead of an arbitrary constant.  The
+    # charge reads rho only on mask pixels, and their stencils reach two
+    # pixels along the row and the column; when all of those are defined
+    # the continuation changes no value that is read
+    spins = np.moveaxis(sf.n, -1, 0)
+    reach = mask.copy()
+    for s in (1, 2):
+        reach[s:] |= mask[:-s]
+        reach[:-s] |= mask[s:]
+        reach[:, s:] |= mask[:, :-s]
+        reach[:, :-s] |= mask[:, s:]
+    if not (reach & ~sf.mask).any():
+        return spins
     from scipy import ndimage
 
     rows, cols = ndimage.distance_transform_edt(
         ~sf.mask, return_distances=False, return_indices=True
     )
-    return sf.n[rows, cols]
+    return spins[:, rows, cols]
 
 
 def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
@@ -303,26 +386,29 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
             "rim spins do not saturate toward a common direction; the "
             "disk boundary cuts the texture and its charge is undefined"
         )
-    closed = np.where(mask[..., None], sf.n, n_sat)
 
-    padded = np.empty((grid.size + 2, grid.size + 2, 3))
-    padded[...] = n_sat
-    padded[1:-1, 1:-1] = closed
-    omega = _plaquette_solid_angles(padded)
+    # the closed texture: n_sat outside the mask and one ring past the edge
+    padded = np.empty((3, grid.size + 2, grid.size + 2))
+    for k in range(3):
+        padded[k] = n_sat[k]
+        np.copyto(padded[k, 1:-1, 1:-1], sf.n[..., k], where=mask)
+    omega = _by_strips(_plaquette_solid_angles,
+                       np.empty((grid.size + 1, grid.size + 1)), padded, 0, 1)
+    del padded
     bl_total = omega.sum() / (4.0 * np.pi)
 
     interior = (
         mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
     )
     bl_interior = omega[1:-1, 1:-1][interior].sum() / (4.0 * np.pi)
+    del omega
 
     # gradients come from the texture itself wherever the intensity
     # defines it, so no stencil straddles the saturation step
-    smooth = _continue_past_cutoff(sf)
+    smooth = _continue_past_cutoff(sf, mask)
     h = grid.spacing
-    gx = _central_diff(smooth, h, axis=1)
-    gy = _central_diff(smooth, h, axis=0)
-    rho = np.einsum("...i,...i->...", smooth, np.cross(gx, gy)) / (4.0 * np.pi)
+    rho = _by_strips(lambda w: _charge_density(w, h),
+                     np.empty((grid.size, grid.size)), smooth, 2, 2)
     plaq = 0.25 * (rho[:-1, :-1] + rho[:-1, 1:] + rho[1:, 1:] + rho[1:, :-1])
     fd_interior = (plaq[interior] * h * h).sum()
 
@@ -419,7 +505,7 @@ def soup_bubble(
     sums = np.zeros((n_theta * n_phi, 3))
     for k in range(3):
         sums[:, k] = np.bincount(
-            flat, weights=sf.n[sel][:, k], minlength=n_theta * n_phi
+            flat, weights=sf.n[..., k][sel], minlength=n_theta * n_phi
         )
     vectors = np.zeros_like(sums)
     filled = counts > 0

@@ -49,6 +49,7 @@ half-wave plates at angles t1, t2 a pure polarization rotator by
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -60,6 +61,7 @@ from .state import CoherentState, named_state
 __all__ = [
     "BenchDescription",
     "BenchParseError",
+    "MAX_SWEEP_FRAMES",
     "OpticalElement",
     "RECORD_NAMES",
     "SweepResult",
@@ -81,6 +83,10 @@ RECORD_NAMES = (
     "torus",
     "stokes_field",
 )
+
+# largest frame count a parsed sweep may declare; each frame is one bench
+# run (and one rendered field with ``--fields``)
+MAX_SWEEP_FRAMES = 100_000
 
 _KIND_ALIASES = {
     "HWP": "HWP",
@@ -305,11 +311,16 @@ def _statements(text: str) -> list[tuple[int, str]]:
 
 def _parse_number(value: str, what: str, source: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise BenchParseError(
             f"attribute {what} is not a number: {value!r}", source, line
         ) from None
+    if not math.isfinite(number):
+        raise BenchParseError(
+            f"attribute {what} is not a finite number: {value!r}", source, line
+        )
+    return number
 
 
 def _parse_element(token: str, source: str, line: int):
@@ -546,6 +557,11 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
         if n < -1e-9:
             raise BenchParseError(
                 "sweep step must point from 'from' toward 'to'", source, line
+            )
+        if n >= MAX_SWEEP_FRAMES:
+            raise BenchParseError(
+                f"sweep has {n + 1:.0f} frames, more than the cap of "
+                f"{MAX_SWEEP_FRAMES}", source, line
             )
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise BenchParseError(

@@ -119,7 +119,10 @@ def load_state(path: str) -> CoherentState:
     if len(pairs) != 6:
         raise ValueError(f"{path}: 'alpha' must have 6 [re, im] pairs")
     alpha = np.array([complex(re, im) for re, im in pairs])
-    return CoherentState(alpha, n0=float(obj.get("n0", 1.0)))
+    try:
+        return CoherentState(alpha, n0=float(obj.get("n0", 1.0)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------- algebra

@@ -57,10 +57,17 @@ class CoherentState:
         if a.shape != (6,):
             raise ValueError(f"state vector must have 6 components, got {a.shape}")
         norm = float(np.linalg.norm(a))
+        if not norm < np.inf:
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                raise ValueError(
+                    f"amplitude {bad[0] + 1} is not finite: {complex(a[bad[0]])}"
+                )
+            raise ValueError("amplitude vector norm overflows")
         if norm < 1e-12:
             raise ValueError("zero amplitude vector is not normalizable")
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be positive, got {self.n0!r}")
+        if not 0 < self.n0 < np.inf:
+            raise ValueError(f"n0 must be positive and finite, got {self.n0!r}")
         a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)

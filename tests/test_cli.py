@@ -136,6 +136,23 @@ def test_state_eval_from_json_file(tmp_path, capsys):
     assert obj["spheres"]["skyrmion"]["coords"] == pytest.approx([0, 1, 0], abs=1e-12)
 
 
+def test_state_file_with_nan_amplitude_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"alpha": [[1, 0], [NaN, 0], [0, 0], [0, 0], [0, 0], '
+                    '[0, 0]], "n0": 1.0}')
+    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: amplitude 2 is not finite: (nan+0j)" in err
+
+
+def test_non_finite_extent_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
+                           "--extent", "inf", "--out", str(tmp_path))
+    assert code == 2
+    assert "must be positive and finite, got 'inf'" in err
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -166,6 +183,16 @@ def test_bench_run_malformed_file_exits_2_with_location(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 2
     assert f"{bad}:3" in err
+
+
+def test_bench_run_non_finite_angle_exits_2_with_location(tmp_path, capsys):
+    bad = tmp_path / "nan.bench"
+    bad.write_text('bench "x"\ninput state=h_gaussian\npre: HWP angle=nan\n'
+                   "split PBS\ncombine NPBS reflect=A\n")
+    code, _, err = run_cli(capsys, "bench", "run", "--bench", str(bad),
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert f"{bad}:3: attribute 'angle' is not a finite number" in err
 
 
 def test_bench_run_unknown_bench_name(capsys):
@@ -329,6 +356,20 @@ def test_module_invocation_smoke():
     assert json.loads(proc.stdout)["hypersphere_norm"] == pytest.approx(
         np.sqrt(5.0 / 3.0), abs=1e-12
     )
+
+
+def test_field_render_leaves_scipy_ndimage_unloaded(tmp_path):
+    # the grid-64 texture has dark corner pixels, but no stencil of the
+    # charge reads one, so the nearest-pixel continuation is not needed
+    code = ("import sys; from su6lab.cli import main; "
+            f"code = main(['field', 'render', '--grid', '64', '--out', "
+            f"{str(tmp_path)!r}, '--state', 'neel_out', '--skyrmion-number', "
+            "'--bubble', '32,64']); "
+            "print(code, 'scipy.ndimage' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded():

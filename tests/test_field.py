@@ -108,6 +108,40 @@ def test_mode_orthogonality_on_grid():
     assert abs(np.sum(np.conj(u1) * um)) * g.area < 1e-12
 
 
+@pytest.mark.parametrize("size,waist", [(65, 1.0), (64, 0.1)])
+def test_lg_modes_are_the_direct_formula_bit_for_bit(size, waist):
+    # the odd grid has a phi = 0 row through the vortex null, and waist 0.1
+    # underflows the envelope: both show the sign of a zero imaginary part
+    g = fd.TransverseGrid(size=size, extent=3.0)
+    envelope = np.exp(-((g.rr / waist) ** 2))
+    for m in (-1, 0, 1):
+        if m == 0:
+            u = envelope.astype(complex)
+        else:
+            u = (np.sqrt(2.0) * g.rr / waist) * envelope * np.exp(1j * m * g.phi)
+        u = u / np.sqrt(np.sum(np.abs(u) ** 2) * g.area)
+        assert fd.lg_mode(g, m, waist=waist).tobytes() == u.tobytes()
+
+
+def test_mode_stack_is_built_once_per_grid_and_read_only():
+    fd._mode_stack.cache_clear()
+    g = fd.TransverseGrid(size=64, extent=3.0)
+    for name in ("neel_out", "bloch_left", "dipolar"):
+        fd.synthesize(st.named_state(name), g, waist=W)
+    # an equal grid built anew shares the entry
+    fd.synthesize(st.named_state("neel_out"), fd.TransverseGrid(64, 3.0), W)
+    info = fd._mode_stack.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    stack = fd._mode_stack(g, W)
+    for m, u in zip((1, -1, 0), stack):
+        assert fd.lg_mode(g, m, waist=W) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0
+    with pytest.raises(ValueError, match="waist"):
+        fd.lg_mode(g, 1, waist=0.0)
+
+
 # -------------------------------------------------------------- synthesis
 
 
@@ -319,6 +353,165 @@ def test_disk_inside_the_flip_ring_shows_in_the_report():
     assert small.rim_spin @ sf.n[centre] > 0
     assert full.solid_angle == pytest.approx(1.0, abs=1e-9)
     assert full.rim_spin @ sf.n[centre] < 0
+
+
+# The plane kernels against the same formulas on (..., 3) vectors with
+# np.einsum, np.cross and np.gradient, which they must repeat bit for
+# bit.  A numpy that changes einsum's summation order fails here by name.
+
+
+def _einsum_triangles(n1, n2, n3):
+    num = np.einsum("...i,...i->...", n1, np.cross(n2, n3))
+    den = (
+        1.0
+        + np.einsum("...i,...i->...", n1, n2)
+        + np.einsum("...i,...i->...", n2, n3)
+        + np.einsum("...i,...i->...", n3, n1)
+    )
+    return 2.0 * np.arctan2(num, den)
+
+
+def _einsum_plaquettes(spins):
+    a, b = spins[:-1, :-1], spins[:-1, 1:]
+    c, d = spins[1:, 1:], spins[1:, :-1]
+    return _einsum_triangles(a, b, c) + _einsum_triangles(a, c, d)
+
+
+def _gradient_diff(values, spacing, axis):
+    grad = np.gradient(values, spacing, axis=axis)
+    v = np.moveaxis(values, axis, 0)
+    g = np.moveaxis(grad, axis, 0)
+    g[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (
+        12.0 * spacing
+    )
+    return grad
+
+
+def _random_spins(size, seed):
+    v = np.random.default_rng(seed).normal(size=(size, size, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("size", [66, 67])
+def test_plaquette_kernel_matches_the_vector_formula(size):
+    spins = _random_spins(size, size)
+    planes = np.ascontiguousarray(np.moveaxis(spins, -1, 0))
+    expected = _einsum_plaquettes(spins)
+    assert np.array_equal(fd._plaquette_solid_angles(planes), expected)
+    # the strip driver the charge pass uses, including a short last strip
+    strips = fd._by_strips(fd._plaquette_solid_angles,
+                           np.empty((size - 1, size - 1)), planes, 0, 1)
+    assert np.array_equal(strips, expected)
+
+
+@pytest.mark.parametrize("size", [64, 65])
+def test_charge_density_kernel_matches_the_vector_formula(size):
+    spins = _random_spins(size, size)
+    planes = np.ascontiguousarray(np.moveaxis(spins, -1, 0))
+    h = 6.0 / size
+    gx = _gradient_diff(spins, h, axis=1)
+    gy = _gradient_diff(spins, h, axis=0)
+    expected = np.einsum("...i,...i->...", spins, np.cross(gx, gy)) / (4.0 * np.pi)
+    assert np.array_equal(fd._charge_density(planes, h), expected)
+    strips = fd._by_strips(lambda w: fd._charge_density(w, h),
+                           np.empty((size, size)), planes, 2, 2)
+    assert np.array_equal(strips, expected)
+
+
+@pytest.fixture
+def edt_calls(monkeypatch):
+    """Count the nearest-pixel transforms run while the test runs."""
+    from scipy import ndimage
+
+    calls = []
+    original = ndimage.distance_transform_edt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    return calls
+
+
+def _always_continued(sf, mask):
+    from scipy import ndimage
+
+    rows, cols = ndimage.distance_transform_edt(
+        ~sf.mask, return_distances=False, return_indices=True
+    )
+    return np.moveaxis(sf.n, -1, 0)[:, rows, cols]
+
+
+def _report(sf, disk_radius):
+    r = fd.topological_charge(sf, disk_radius)
+    return (r.finite_difference, r.solid_angle, r.closure, r.rim_alignment,
+            r.undefined_fraction, r.rim_spin.tobytes())
+
+
+# (grid size, extent, state, disk): dark pixels lie outside every stencil
+SKIPPED_CONTINUATION = [
+    (64, 3.0, "neel_out", 3.0),
+    (64, 3.0, "antiskyrmion_h", 3.0),
+    (65, 4.4, "bloch_left", 3.0),
+    (64, 8.0, "neel_in", 2.0),
+]
+
+
+@pytest.mark.parametrize("size,extent,name,disk", SKIPPED_CONTINUATION)
+def test_skipped_continuation_gives_the_continued_charges(
+        size, extent, name, disk, edt_calls, monkeypatch):
+    g = fd.TransverseGrid(size=size, extent=extent)
+    sf = stokes_for(name, grid=g)
+    assert not sf.mask.all()
+    skipped = _report(sf, disk)
+    assert edt_calls == []
+    monkeypatch.setattr(fd, "_continue_past_cutoff", _always_continued)
+    assert _report(stokes_for(name, grid=g), disk) == skipped
+    assert edt_calls == [1]
+
+
+def test_continuation_is_skipped_only_where_no_stencil_reads_dark(monkeypatch):
+    # disks that end zero to five pixels short of the dark ring: some
+    # stencils reach a dark pixel one or two steps away, some none
+    g = fd.TransverseGrid(size=64, extent=4.4)
+    sf = stokes_for("neel_out", grid=g)
+    edge = g.rr[~sf.mask].min()
+    radii = edge - g.spacing * np.arange(0.25, 5.0, 0.25)
+    skipped = [_report(sf, r) for r in radii]
+    monkeypatch.setattr(fd, "_continue_past_cutoff", _always_continued)
+    continued = stokes_for("neel_out", grid=g)
+    assert [_report(continued, r) for r in radii] == skipped
+
+
+@pytest.mark.parametrize("step", [(0, -1), (0, 1), (-1, 0), (1, 0)])
+@pytest.mark.parametrize("distance", [1, 2, 3])
+def test_one_dark_pixel_beside_the_disk(step, distance, edt_calls, monkeypatch):
+    # darken the pixel `distance` steps past the outermost disk pixel of
+    # the middle row or column; the stencils reach two steps
+    g = fd.TransverseGrid(size=64, extent=3.0)
+    e_left, e_right = (e.copy() for e in fd.synthesize(st.named_state("neel_out"), g))
+    disk = g.rr <= 2.0
+    line = disk[32] if step[0] == 0 else disk[:, 32]
+    inside = np.flatnonzero(line)
+    end = inside[-1] if sum(step) > 0 else inside[0]
+    dark = (32, end + step[1] * distance) if step[0] == 0 else (end + step[0] * distance, 32)
+    e_left[dark] = e_right[dark] = 0.0
+    sf = fd.stokes_fields(e_left, e_right, g)
+    assert not sf.mask[dark] and not disk[dark]
+    report = _report(sf, 2.0)
+    assert edt_calls == ([1] if distance <= 2 else [])
+    monkeypatch.setattr(fd, "_continue_past_cutoff", _always_continued)
+    assert _report(fd.stokes_fields(e_left, e_right, g), 2.0) == report
+
+
+def test_continuation_runs_where_a_stencil_reads_a_dark_pixel(edt_calls):
+    g = fd.TransverseGrid(size=64, extent=4.4)
+    sf = stokes_for("neel_out", grid=g)
+    report = fd.topological_charge(sf, 4.0)
+    assert edt_calls == [1]
+    assert report.undefined_fraction > 0.0
+    assert report.solid_angle == pytest.approx(1.0, abs=1e-9)
 
 
 def test_uniform_texture_has_exactly_zero_charge():

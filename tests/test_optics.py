@@ -7,6 +7,8 @@ flip) cannot hide.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,19 @@ MALFORMED = [
     ('bench "a"\ninput state=x\narm A: HWP angle=3', "arm elements without a split", 3),
     ('bench "a"\ninput state=x\nsplit PBS', "split without a combine", 3),
     ('bench "a"\ninput state=x\nwobble frob', "unknown statement", 3),
+    ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=nan\ncombine NPBS reflect=A',
+     "attribute 'angle' is not a finite number: 'nan'", 4),
+    ('bench "a"\ninput state=x\npre: QWP angle=-inf\nsplit PBS\ncombine NPBS reflect=A',
+     "attribute 'angle' is not a finite number: '-inf'", 3),
+    ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
+     "sweep element=HWP1 from=nan to=10 step=5",
+     "attribute 'from' is not a finite number", 6),
+    ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
+     "sweep element=HWP1 from=0 to=Infinity step=5",
+     "attribute 'to' is not a finite number", 6),
+    ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
+     "sweep element=HWP1 from=0 to=10 step=inf",
+     "attribute 'step' is not a finite number", 6),
 ]
 
 
@@ -262,6 +277,38 @@ def test_malformed_inputs_have_line_diagnostics(text, match, line):
     assert match in str(err.value)
     assert err.value.line == line
     assert "bad.bench" in str(err.value)
+
+
+def _sweep_bench(spec):
+    return ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\n'
+            f"combine NPBS reflect=A\nsweep element=HWP1 {spec}")
+
+
+def test_sweep_frame_cap_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(op.BenchParseError) as err:
+            op.parse_bench(_sweep_bench("from=0 to=1e12 step=1"),
+                           source="big.bench")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "big.bench:6: sweep has 1000000000001 frames, more than the cap of "
+        f"{op.MAX_SWEEP_FRAMES}"
+    )
+    assert peak < 1 << 20
+
+
+def test_sweep_frame_cap_boundary():
+    cap = op.MAX_SWEEP_FRAMES
+    bench = op.parse_bench(_sweep_bench(f"from=0 to={cap - 1} step=1"))
+    assert bench.sweeps[0].frame_count == cap
+    with pytest.raises(op.BenchParseError, match=f"sweep has {cap + 1} frames"):
+        op.parse_bench(_sweep_bench(f"from=0 to={cap} step=1"))
+    # a span that overflows to inf is refused too
+    with pytest.raises(op.BenchParseError, match="sweep has inf frames"):
+        op.parse_bench(_sweep_bench("from=-1e308 to=1e308 step=1"))
 
 
 # ---------------------------------------------------------------- running

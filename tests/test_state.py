@@ -87,6 +87,28 @@ def test_construction_normalizes_and_rejects_zero():
         st.CoherentState(np.ones(6, dtype=complex), n0=-1.0)
 
 
+@pytest.mark.parametrize("index,value", [
+    (0, np.nan), (3, np.inf), (5, complex(1.0, -np.inf)), (2, complex(np.nan, 1.0)),
+])
+def test_construction_rejects_non_finite_amplitudes(index, value):
+    a = np.full(6, 0.5, dtype=complex)
+    a[index] = value
+    with pytest.raises(ValueError, match=f"amplitude {index + 1} is not finite"):
+        st.CoherentState(a)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_construction_rejects_an_overflowing_norm():
+    with pytest.raises(ValueError, match="norm overflows"):
+        st.CoherentState(np.array([1e300, 1e300, 0, 0, 0, 0], dtype=complex))
+
+
+@pytest.mark.parametrize("n0", [np.inf, np.nan, -np.inf, 0.0])
+def test_construction_rejects_non_finite_photon_number(n0):
+    with pytest.raises(ValueError, match="n0 must be positive and finite"):
+        st.CoherentState(np.ones(6, dtype=complex), n0=n0)
+
+
 def test_expectation_rejects_non_hermitian():
     m = np.zeros((6, 6), dtype=complex)
     m[0, 1] = 1.0
