@@ -154,13 +154,15 @@ def _config(args) -> dict:
     }
 
 
-def _resolve_state(token: str) -> st.CoherentState:
+def _resolve_state(token: str, what: str = "state") -> st.CoherentState:
+    """The named state or the state file ``token``; ``what`` names the
+    token's role in the error."""
     if token in st.state_names():
         return st.named_state(token)
     if os.path.exists(token):
         return serialize.load_state(token)
     catalog = ", ".join(st.state_names())
-    raise _UsageError(f"unknown state {token!r}; named states: {catalog}")
+    raise _UsageError(f"unknown {what} {token!r}; named states: {catalog}")
 
 
 def _write_file(args, files: list, name: str, payload: str | bytes,
@@ -293,21 +295,10 @@ def _load_bench(token: str) -> optics.BenchDescription:
         return optics.parse_bench(fh.read(), source=token)
 
 
-def _bench_input(bench: optics.BenchDescription):
-    if bench.input_state in st.state_names():
-        return None
-    if os.path.exists(bench.input_state):
-        return serialize.load_state(bench.input_state)
-    catalog = ", ".join(st.state_names())
-    raise _UsageError(
-        f"bench input {bench.input_state!r} is neither a named state nor a "
-        f"file; named states: {catalog}"
-    )
-
-
 def cmd_bench_run(args) -> int:
     bench = _load_bench(args.bench)
-    out_state = optics.run_bench(bench, input_state=_bench_input(bench))
+    out_state = optics.run_bench(
+        bench, input_state=_resolve_state(bench.input_state, "bench input"))
     label = field.classify_texture(out_state, tol_deg=args.tolerance or 1.0)
     obj = {
         "command": "bench run",
@@ -329,8 +320,9 @@ def cmd_bench_run(args) -> int:
 
 def cmd_bench_sweep(args) -> int:
     bench = _load_bench(args.bench)
-    result = optics.run_sweep(bench, sweep=args.element,
-                              input_state=_bench_input(bench))
+    result = optics.run_sweep(
+        bench, sweep=args.element,
+        input_state=_resolve_state(bench.input_state, "bench input"))
     tol_deg = args.tolerance or 1.0
     labels = [field.classify_texture(f, tol_deg=tol_deg) for f in result.frames]
     files = []

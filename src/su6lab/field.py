@@ -88,8 +88,9 @@ class TransverseGrid:
     def __post_init__(self):
         if int(self.size) != self.size or self.size < MIN_GRID:
             raise ValueError(f"size must be an integer >= {MIN_GRID}, got {self.size}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < np.inf:
+            raise ValueError(
+                f"extent must be positive and finite, got {self.extent}")
 
     @property
     def spacing(self) -> float:

@@ -14,29 +14,39 @@ three lowest orbital modes).  Bench files are plain text::
     sweep element=HWP1 from=0 to=90 step=5 record=skyrmion_sphere
 
 Statements are separated by newlines or semicolons and '#' starts a
-comment.  Elements are applied in the order written.  Every element gets
-an id: either an explicit ``id=`` attribute or an automatic one built
-from the kind prefix and the (1-based) ordinal of that kind within the
-file, counting pre, arm A, then arm B.
+comment; both are plain characters inside the quoted bench name.
+Elements are applied in the order written.  Every element gets an id:
+either an explicit ``id=`` attribute or an automatic one built from the
+kind's id prefix and the (1-based) ordinal of that kind within the file,
+counting pre, arm A, then arm B.
 
-Element kinds and attributes (angles in degrees):
+Element kinds and attributes (angles in degrees).  The first token is
+the one ``serialize_bench`` writes, the one in parentheses an accepted
+alias.  The id prefixes are HWP, QWP, PL, M, VL and PH; ``PL`` is only a
+prefix and is refused as a token.
 
-===========  ==========================  =====================================
-kind         attributes                  action on the beam
-===========  ==========================  =====================================
-HWP          angle                       half-wave plate, fast axis at angle
-QWP          angle                       quarter-wave plate
-POLARIZER    angle                       linear polarizer (projector)
-MIRROR                                   swaps circular polarizations and the
-                                         two vortex modes, leaves the
-                                         fundamental mode alone
-VL           chirality (L/R), flipped    vortex lens: cycles the orbital modes
-                                         one step (R: fundamental -> right
-                                         vortex -> left vortex -> fundamental);
-                                         a flipped lens acts as the opposite
-                                         chirality
-PHASE        angle                       uniform phase factor exp(i*angle)
-===========  ==========================  =====================================
+=================  ========================  ================================
+token              attributes                action on the beam
+=================  ========================  ================================
+HWP                angle                     half-wave plate, fast axis at
+                                             angle
+QWP                angle                     quarter-wave plate
+POLARIZER          angle                     linear polarizer (projector)
+MIRROR (M)                                   swaps circular polarizations
+                                             and the two vortex modes,
+                                             leaves the fundamental alone
+VL (VORTEX_LENS)   chirality (L/R), flipped  vortex lens: cycles the orbital
+                                             modes one step (R: fundamental
+                                             -> right vortex -> left vortex
+                                             -> fundamental); a flipped lens
+                                             acts as the opposite chirality
+PHASE (PH)         angle (or phase)          uniform phase factor
+                                             exp(i*angle)
+=================  ========================  ================================
+
+A sweep's ``record=`` is a comma list of RECORD_NAMES.  It is validated
+and echoed into the trajectory sidecar, but it selects no output: the
+CLI's ``bench sweep --fields`` is what writes the field frames.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -53,10 +63,11 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from .state import CoherentState, named_state
+from .state import CoherentState, named_state, state_names
 
 __all__ = [
     "BenchDescription",
@@ -88,34 +99,26 @@ RECORD_NAMES = (
 # run (and one rendered field with ``--fields``)
 MAX_SWEEP_FRAMES = 100_000
 
-_KIND_ALIASES = {
-    "HWP": "HWP",
-    "QWP": "QWP",
-    "POLARIZER": "POLARIZER",
-    "MIRROR": "MIRROR",
-    "M": "MIRROR",
-    "VL": "VORTEX_LENS",
-    "VORTEX_LENS": "VORTEX_LENS",
-    "PHASE": "PHASE",
-    "PH": "PHASE",
+
+class _Kind(NamedTuple):
+    tokens: tuple[str, ...]  # accepted in bench text; the first is emitted
+    prefix: str              # automatic ids are prefix + ordinal
+    attrs: tuple[str, ...]   # attributes besides id, in emitted order
+
+
+# every element kind of the bench format, keyed by OpticalElement.kind;
+# an element with an angle attribute must give it
+_KINDS = {
+    "HWP": _Kind(("HWP",), "HWP", ("angle",)),
+    "QWP": _Kind(("QWP",), "QWP", ("angle",)),
+    "POLARIZER": _Kind(("POLARIZER",), "PL", ("angle",)),
+    "MIRROR": _Kind(("MIRROR", "M"), "M", ()),
+    "VORTEX_LENS": _Kind(("VL", "VORTEX_LENS"), "VL", ("chirality", "flipped")),
+    "PHASE": _Kind(("PHASE", "PH"), "PH", ("angle",)),
 }
-_ID_PREFIX = {
-    "HWP": "HWP",
-    "QWP": "QWP",
-    "POLARIZER": "PL",
-    "MIRROR": "M",
-    "VORTEX_LENS": "VL",
-    "PHASE": "PH",
-}
-_EMIT_TOKEN = {
-    "HWP": "HWP",
-    "QWP": "QWP",
-    "POLARIZER": "POLARIZER",
-    "MIRROR": "MIRROR",
-    "VORTEX_LENS": "VL",
-    "PHASE": "PHASE",
-}
-_ANGLE_KINDS = ("HWP", "QWP", "POLARIZER", "PHASE")
+_TOKEN_KIND = {token: kind for kind, row in _KINDS.items() for token in row.tokens}
+_SECTIONS = ("pre", "A", "B")
+_SWEEP_ATTRS = ("element", "from", "to", "step", "record")  # all but record required
 
 
 @dataclass(frozen=True)
@@ -273,39 +276,23 @@ def element_operator(element: OpticalElement) -> np.ndarray:
 # ----------------------------------------------------------------- parsing
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_quoted(line: str, sep: str) -> list[str]:
-    parts, buf, quoted = [], [], False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == sep and not quoted:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return parts
-
-
 def _statements(text: str) -> list[tuple[int, str]]:
+    """(line, statement) pairs: each line is split at an unquoted ';' and
+    ends at an unquoted '#'."""
     out = []
     for ln, raw in enumerate(text.splitlines(), 1):
-        for piece in _split_quoted(_strip_comment(raw), ";"):
-            piece = piece.strip()
-            if piece:
-                out.append((ln, piece))
+        pieces, start, quoted = [], 0, False
+        for i, ch in enumerate(raw):
+            if ch == '"':
+                quoted = not quoted
+            elif ch in ";#" and not quoted:
+                pieces.append(raw[start:i])
+                start = i + 1
+                if ch == "#":
+                    break
+        else:
+            pieces.append(raw[start:])
+        out.extend((ln, p.strip()) for p in pieces if p.strip())
     return out
 
 
@@ -323,65 +310,38 @@ def _parse_number(value: str, what: str, source: str, line: int) -> float:
     return number
 
 
-def _parse_element(token: str, source: str, line: int):
-    parts = token.split()
-    raw_kind = parts[0]
-    kind = _KIND_ALIASES.get(raw_kind)
+def _parse_element(text: str, source: str, line: int) -> OpticalElement:
+    token, *words = text.split()
+    kind = _TOKEN_KIND.get(token)
     if kind is None:
-        raise BenchParseError(f"unknown element kind {raw_kind!r}", source, line)
-    attrs = _parse_keyvals(parts[1:], raw_kind, source, line)
+        raise BenchParseError(f"unknown element kind {token!r}", source, line)
+    attrs = _parse_keyvals(words, token, source, line)
     if kind == "PHASE" and "phase" in attrs:
         if "angle" in attrs:
             raise BenchParseError("duplicate attribute 'angle'", source, line)
         attrs["angle"] = attrs.pop("phase")
-
-    allowed = {"id"}
-    if kind in _ANGLE_KINDS:
-        allowed.add("angle")
-    if kind == "VORTEX_LENS":
-        allowed.update(("chirality", "flipped"))
+    allowed = _KINDS[kind].attrs
     for key in attrs:
-        if key not in allowed:
+        if key != "id" and key not in allowed:
             raise BenchParseError(
-                f"unknown attribute {key!r} for {raw_kind}", source, line
+                f"unknown attribute {key!r} for {token}", source, line
             )
-    if kind in _ANGLE_KINDS and "angle" not in attrs:
-        raise BenchParseError(f"{raw_kind} requires attribute 'angle'", source, line)
-
     angle = 0.0
-    if "angle" in attrs:
+    if "angle" in allowed:
+        if "angle" not in attrs:
+            raise BenchParseError(f"{token} requires attribute 'angle'", source, line)
         angle = _parse_number(attrs["angle"], "'angle'", source, line)
     chirality = attrs.get("chirality", "R")
     if chirality not in ("L", "R"):
         raise BenchParseError(
             f"chirality must be L or R, got {chirality!r}", source, line
         )
-    flipped = False
-    if "flipped" in attrs:
-        if attrs["flipped"] not in ("true", "false"):
-            raise BenchParseError(
-                f"flipped must be true or false, got {attrs['flipped']!r}",
-                source,
-                line,
-            )
-        flipped = attrs["flipped"] == "true"
-    element = OpticalElement(
-        kind=kind,
-        angle=angle,
-        chirality=chirality,
-        flipped=flipped,
-        element_id=attrs.get("id"),
-    )
-    return element
-
-
-def _parse_element_list(body: str, source: str, line: int):
-    elements = []
-    for token in body.split("/"):
-        token = token.strip()
-        if token:
-            elements.append(_parse_element(token, source, line))
-    return elements
+    flipped = attrs.get("flipped", "false")
+    if flipped not in ("true", "false"):
+        raise BenchParseError(
+            f"flipped must be true or false, got {flipped!r}", source, line
+        )
+    return OpticalElement(kind, angle, chirality, flipped == "true", attrs.get("id"))
 
 
 def _parse_keyvals(parts: list[str], stmt: str, source: str, line: int):
@@ -411,12 +371,11 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
 
     name = None
     input_state = None
-    sections: dict[str, list[OpticalElement]] = {"pre": [], "A": [], "B": []}
-    section_lines: dict[str, list[int]] = {"pre": [], "A": [], "B": []}
+    placed: list[tuple[str, int, OpticalElement]] = []  # (section, line, element)
     first_arm_line = None
     split_line = None
     combine_line = None
-    reflect = None
+    reflect = "B"
     sweeps_raw: list[tuple[int, dict[str, str]]] = []
 
     for idx, (line, stmt) in enumerate(stmts):
@@ -443,31 +402,21 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
                     "input statement must be 'input state=<token>'", source, line
                 )
             input_state = m.group(1)
-        elif head.startswith("pre"):
-            m = re.fullmatch(r"pre\s*:\s*(.*)", stmt, re.S)
-            if m is None:
-                raise BenchParseError(f"unknown statement {head!r}", source, line)
-            elems = _parse_element_list(m.group(1), source, line)
-            sections["pre"].extend(elems)
-            section_lines["pre"].extend([line] * len(elems))
-        elif head == "arm":
-            m = re.fullmatch(r"arm\s+([AB])\s*:\s*(.*)", stmt, re.S)
-            if m is None:
-                raise BenchParseError(
-                    "arm statement must be 'arm A: ...' or 'arm B: ...'",
-                    source,
-                    line,
-                )
-            if first_arm_line is None:
+        elif m := re.fullmatch(r"(?:pre|arm\s+([AB]))\s*:\s*(.*)", stmt, re.S):
+            section = m.group(1) or "pre"
+            if section != "pre" and first_arm_line is None:
                 first_arm_line = line
-            elems = _parse_element_list(m.group(2), source, line)
-            sections[m.group(1)].extend(elems)
-            section_lines[m.group(1)].extend([line] * len(elems))
+            for token in m.group(2).split("/"):
+                if token.strip():
+                    placed.append((section, line, _parse_element(token, source, line)))
+        elif head == "arm":
+            raise BenchParseError(
+                "arm statement must be 'arm A: ...' or 'arm B: ...'", source, line
+            )
         elif head == "split":
             if split_line is not None:
                 raise BenchParseError("duplicate split statement", source, line)
-            m = re.fullmatch(r"split\s+(\S+)", stmt)
-            if m is None or m.group(1) != "PBS":
+            if not re.fullmatch(r"split\s+PBS", stmt):
                 raise BenchParseError("splitter must be PBS", source, line)
             split_line = line
         elif head == "combine":
@@ -492,35 +441,26 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
         else:
             raise BenchParseError(f"unknown statement {head!r}", source, line)
 
-    last_line = stmts[-1][0]
     if input_state is None:
-        raise BenchParseError("missing input statement", source, last_line)
+        raise BenchParseError("missing input statement", source, stmts[-1][0])
 
-    ordered = (
-        [("pre", i) for i in range(len(sections["pre"]))]
-        + [("A", i) for i in range(len(sections["A"]))]
-        + [("B", i) for i in range(len(sections["B"]))]
-    )
+    # automatic ids count each kind over pre, arm A, then arm B
+    placed.sort(key=lambda entry: _SECTIONS.index(entry[0]))
     kind_counts: dict[str, int] = {}
-    seen_ids: dict[str, int] = {}
-    for key, i in ordered:
-        e = sections[key][i]
-        line = section_lines[key][i]
+    seen_ids: set[str] = set()
+    for i, (section, line, e) in enumerate(placed):
         kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
         if e.element_id is None:
-            auto = f"{_ID_PREFIX[e.kind]}{kind_counts[e.kind]}"
+            auto = f"{_KINDS[e.kind].prefix}{kind_counts[e.kind]}"
             e = dataclasses.replace(e, element_id=auto)
-            sections[key][i] = e
+            placed[i] = (section, line, e)
         if e.element_id in seen_ids:
             raise BenchParseError(
                 f"duplicate element id {e.element_id!r}", source, line
             )
-        seen_ids[e.element_id] = line
+        seen_ids.add(e.element_id)
 
-    has_arm_elements = bool(sections["A"] or sections["B"]) or (
-        first_arm_line is not None
-    )
-    if has_arm_elements and split_line is None:
+    if first_arm_line is not None and split_line is None:
         raise BenchParseError(
             "arm elements without a split statement", source, first_arm_line
         )
@@ -533,13 +473,13 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
 
     sweeps = []
     for line, attrs in sweeps_raw:
-        for req in ("element", "from", "to", "step"):
+        for req in _SWEEP_ATTRS[:4]:
             if req not in attrs:
                 raise BenchParseError(
                     f"sweep requires attribute {req!r}", source, line
                 )
         for key in attrs:
-            if key not in ("element", "from", "to", "step", "record"):
+            if key not in _SWEEP_ATTRS:
                 raise BenchParseError(
                     f"unknown attribute {key!r} for sweep", source, line
                 )
@@ -567,38 +507,28 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
             raise BenchParseError(
                 "sweep span is not an integer number of steps", source, line
             )
-        record = []
-        if "record" in attrs:
-            for token in attrs["record"].split(","):
-                token = token.strip()
-                if not token:
-                    continue
-                if token not in RECORD_NAMES:
-                    raise BenchParseError(
-                        f"unknown record name {token!r} "
-                        f"(valid: {', '.join(RECORD_NAMES)})",
-                        source,
-                        line,
-                    )
-                record.append(token)
-        sweeps.append(
-            SweepSpec(
-                element_id=element_id,
-                start=start,
-                stop=stop,
-                step=step,
-                record=tuple(record),
-            )
-        )
+        record = [t.strip() for t in attrs.get("record", "").split(",") if t.strip()]
+        for token in record:
+            if token not in RECORD_NAMES:
+                raise BenchParseError(
+                    f"unknown record name {token!r} "
+                    f"(valid: {', '.join(RECORD_NAMES)})",
+                    source,
+                    line,
+                )
+        sweeps.append(SweepSpec(element_id, start, stop, step, tuple(record)))
+
+    def section(key: str) -> tuple[OpticalElement, ...]:
+        return tuple(e for s, _, e in placed if s == key)
 
     return BenchDescription(
         name=name,
         input_state=input_state,
-        pre=tuple(sections["pre"]),
-        arm_a=tuple(sections["A"]),
-        arm_b=tuple(sections["B"]),
+        pre=section("pre"),
+        arm_a=section("A"),
+        arm_b=section("B"),
         split=split_line is not None,
-        reflect=reflect if reflect is not None else "B",
+        reflect=reflect,
         sweeps=tuple(sweeps),
     )
 
@@ -608,32 +538,30 @@ def _fmt(value: float) -> str:
 
 
 def _emit_element(e: OpticalElement) -> str:
-    parts = [_EMIT_TOKEN[e.kind]]
-    if e.kind in _ANGLE_KINDS:
-        parts.append(f"angle={_fmt(e.angle)}")
-    if e.kind == "VORTEX_LENS":
-        parts.append(f"chirality={e.chirality}")
-        parts.append(f"flipped={'true' if e.flipped else 'false'}")
-    parts.append(f"id={e.element_id}")
-    return " ".join(parts)
+    row = _KINDS[e.kind]
+    text = {
+        "angle": _fmt(e.angle),
+        "chirality": e.chirality,
+        "flipped": "true" if e.flipped else "false",
+    }
+    attrs = [f"{key}={text[key]}" for key in row.attrs]
+    return " ".join([row.tokens[0], *attrs, f"id={e.element_id}"])
+
+
+def _emit_section(label: str, elements: tuple[OpticalElement, ...]) -> list[str]:
+    if not elements:
+        return []
+    return [f"{label}: " + " / ".join(_emit_element(e) for e in elements)]
 
 
 def serialize_bench(bench: BenchDescription) -> str:
     """Canonical text for a bench; parse(serialize(b)) == b."""
     lines = [f'bench "{bench.name}"', f"input state={bench.input_state}"]
-    if bench.pre:
-        lines.append("pre: " + " / ".join(_emit_element(e) for e in bench.pre))
+    lines += _emit_section("pre", bench.pre)
     if bench.split:
-        lines.append("split PBS")
-        if bench.arm_a:
-            lines.append(
-                "arm A: " + " / ".join(_emit_element(e) for e in bench.arm_a)
-            )
-        if bench.arm_b:
-            lines.append(
-                "arm B: " + " / ".join(_emit_element(e) for e in bench.arm_b)
-            )
-        lines.append(f"combine NPBS reflect={bench.reflect}")
+        lines += ["split PBS", *_emit_section("arm A", bench.arm_a),
+                  *_emit_section("arm B", bench.arm_b),
+                  f"combine NPBS reflect={bench.reflect}"]
     for sw in bench.sweeps:
         line = (
             f"sweep element={sw.element_id} from={_fmt(sw.start)} "
@@ -677,14 +605,12 @@ def run_bench(
     mirror flip before the two amplitudes add.
     """
     if input_state is None:
-        token = bench.input_state
-        try:
-            input_state = named_state(token, n0=n0, hbar=hbar)
-        except ValueError:
+        if bench.input_state not in state_names():
             raise ValueError(
-                f"input state {token!r} is not a named state; load the file "
-                "yourself and pass input_state explicitly"
-            ) from None
+                f"input state {bench.input_state!r} is not a named state; load "
+                "the file yourself and pass input_state explicitly"
+            )
+        input_state = named_state(bench.input_state, n0=n0, hbar=hbar)
     a = input_state.alpha.astype(complex)
     for e in bench.pre:
         a = element_operator(e) @ a
@@ -725,31 +651,26 @@ def set_element_angle(
 
 def run_sweep(
     bench: BenchDescription,
-    sweep: SweepSpec | str | None = None,
+    sweep: str | None = None,
     input_state: CoherentState | None = None,
     n0: float = 1.0,
     hbar: float = 1.0,
 ) -> SweepResult:
     """Run every frame of a sweep.
 
-    ``sweep`` selects among the bench's declared sweeps by element id, or
-    passes an ad-hoc SweepSpec; None takes the first declared sweep.
+    ``sweep`` selects among the bench's declared sweeps by element id;
+    None takes the first declared sweep.
     """
-    if sweep is None:
-        if not bench.sweeps:
+    specs = [s for s in bench.sweeps if sweep is None or s.element_id == sweep]
+    if not specs:
+        if sweep is None:
             raise ValueError(f"bench {bench.name!r} declares no sweep")
-        spec = bench.sweeps[0]
-    elif isinstance(sweep, SweepSpec):
-        spec = sweep
-    else:
-        matches = [s for s in bench.sweeps if s.element_id == sweep]
-        if not matches:
-            declared = ", ".join(s.element_id for s in bench.sweeps) or "none"
-            raise ValueError(
-                f"bench {bench.name!r} declares no sweep over {sweep!r} "
-                f"(declared: {declared})"
-            )
-        spec = matches[0]
+        declared = ", ".join(s.element_id for s in bench.sweeps) or "none"
+        raise ValueError(
+            f"bench {bench.name!r} declares no sweep over {sweep!r} "
+            f"(declared: {declared})"
+        )
+    spec = specs[0]
     values = spec.values
     frames = tuple(
         run_bench(

@@ -66,8 +66,9 @@ class CoherentState:
             raise ValueError("amplitude vector norm overflows")
         if norm < 1e-12:
             raise ValueError("zero amplitude vector is not normalizable")
-        if not 0 < self.n0 < np.inf:
-            raise ValueError(f"n0 must be positive and finite, got {self.n0!r}")
+        for name, value in (("n0", self.n0), ("hbar", self.hbar)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import su6lab.algebra as alg
+import su6lab.optics as op
 import su6lab.serialize as ser
 import su6lab.state as st
 from su6lab.cli import main
@@ -193,6 +194,45 @@ def test_bench_run_non_finite_angle_exits_2_with_location(tmp_path, capsys):
                            "--out", str(tmp_path))
     assert code == 2
     assert f"{bad}:3: attribute 'angle' is not a finite number" in err
+
+
+def _fig1_with_input(tmp_path, token):
+    text = op.shipped_bench_path("fig1").read_text()
+    path = tmp_path / "input.bench"
+    path.write_text(text.replace("input state=h_gaussian", f"input state={token}"))
+    return str(path)
+
+
+def test_bench_input_state_file_matches_the_named_state(tmp_path, capsys):
+    state_file = tmp_path / "h.json"
+    ser.save_state(str(state_file), st.named_state("h_gaussian"))
+    runs, sweeps = [], []
+    for token in ("h_gaussian", str(state_file)):
+        bench = _fig1_with_input(tmp_path, token)
+        code, out, _ = run_cli(capsys, "bench", "run", "--bench", bench,
+                               "--out", str(tmp_path / "run"))
+        assert code == 0
+        runs.append(last_json(out))
+        code, out, _ = run_cli(capsys, "bench", "sweep", "--bench", bench,
+                               "--out", str(tmp_path / "sweep"))
+        assert code == 0
+        sweeps.append(last_json(out))
+    named, from_file = runs
+    assert from_file["classification"] == named["classification"] == "neel_out"
+    # the loaded amplitudes are normalized once more, so the last bits may move
+    assert np.ravel(from_file["camera_state"]["alpha"]) == pytest.approx(
+        np.ravel(named["camera_state"]["alpha"]), abs=1e-14)
+    assert sweeps[1]["classifications"] == sweeps[0]["classifications"]
+    assert sweeps[1]["parameters"] == sweeps[0]["parameters"]
+
+
+def test_bench_unknown_input_token_exits_2_naming_it(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bench", "run", "--bench",
+                             _fig1_with_input(tmp_path, "no_such_state"),
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "unknown bench input 'no_such_state'; named states: " in err
 
 
 def test_bench_run_unknown_bench_name(capsys):

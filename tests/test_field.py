@@ -49,6 +49,13 @@ def test_grid_validation():
         fd.TransverseGrid(size=64, extent=0.0)
 
 
+@pytest.mark.parametrize("extent", [np.inf, np.nan])
+def test_grid_refuses_a_non_finite_extent(extent):
+    with pytest.raises(ValueError) as err:
+        fd.TransverseGrid(size=64, extent=extent)
+    assert str(err.value) == f"extent must be positive and finite, got {extent}"
+
+
 # ------------------------------------------------------------------ modes
 
 

@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from su6lab import optics as op
 from su6lab import state as st
@@ -215,68 +217,112 @@ def test_explicit_ids_survive_round_trip():
     assert op.parse_bench(op.serialize_bench(b)) == b
 
 
+_HEAD = 'bench "a"\ninput state=x\n'
+_ARMS = _HEAD + "split PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n"
+
+# (text, full diagnostic, line); each is compared whole, so a changed word
+# or a shifted line number fails
 MALFORMED = [
-    ("input state=neel_out", "must start with a bench statement", 1),
+    ("input state=neel_out", "file must start with a bench statement", 1),
     ('bench "a"\nbench "b"', "duplicate bench statement", 2),
-    ('bench noquotes', "double-quoted", 1),
+    ('bench noquotes', "bench name must be double-quoted", 1),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: FOO angle=1\ncombine NPBS reflect=A',
      "unknown element kind 'FOO'", 4),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP\ncombine NPBS reflect=A',
-     "requires attribute 'angle'", 4),
+     "HWP requires attribute 'angle'", 4),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=abc\ncombine NPBS reflect=A',
-     "not a number", 4),
+     "attribute 'angle' is not a number: 'abc'", 4),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=1 tilt=2\ncombine NPBS reflect=A',
-     "unknown attribute 'tilt'", 4),
+     "unknown attribute 'tilt' for HWP", 4),
     ('bench "a"\ninput state=x\nsplit CUBE\narm A: HWP angle=1\ncombine NPBS reflect=A',
      "splitter must be PBS", 3),
     ('bench "a"\ninput state=x\nsplit PBS\nsplit PBS\ncombine NPBS reflect=A',
-     "duplicate split", 4),
+     "duplicate split statement", 4),
     ('bench "a"\ninput state=x\nsplit PBS\ncombine NPBS reflect=C',
-     "reflect must be A or B", 4),
+     "reflect must be A or B, got 'C'", 4),
     ('bench "a"\ninput state=x\nsplit PBS\ncombine NPBS reflect=A\n'
      "sweep element=HWP9 from=0 to=10 step=5",
-     "unknown element id 'HWP9'", 5),
+     "sweep references unknown element id 'HWP9'", 5),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=0",
-     "step must be nonzero", 6),
+     "sweep step must be nonzero", 6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=3",
-     "integer number of steps", 6),
+     "sweep span is not an integer number of steps", 6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=5 record=bogus_name",
-     "unknown record name 'bogus_name'", 6),
+     "unknown record name 'bogus_name' (valid: skyrmion_sphere, "
+     "antiskyrmion_sphere, oam_sphere, polarization_sphere, torus, stokes_field)",
+     6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: VL chirality=Q\ncombine NPBS reflect=A',
-     "chirality must be L or R", 4),
+     "chirality must be L or R, got 'Q'", 4),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=1 id=X / QWP angle=2 id=X\n'
      "combine NPBS reflect=A",
      "duplicate element id 'X'", 4),
     ('bench "a"\nsplit PBS\ncombine NPBS reflect=A', "missing input statement", 3),
-    ('bench "a"\ninput state=x\narm A: HWP angle=3', "arm elements without a split", 3),
-    ('bench "a"\ninput state=x\nsplit PBS', "split without a combine", 3),
-    ('bench "a"\ninput state=x\nwobble frob', "unknown statement", 3),
+    ('bench "a"\ninput state=x\narm A: HWP angle=3',
+     "arm elements without a split statement", 3),
+    ('bench "a"\ninput state=x\nsplit PBS', "split without a combine statement", 3),
+    ('bench "a"\ninput state=x\nwobble frob', "unknown statement 'wobble'", 3),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=nan\ncombine NPBS reflect=A',
      "attribute 'angle' is not a finite number: 'nan'", 4),
     ('bench "a"\ninput state=x\npre: QWP angle=-inf\nsplit PBS\ncombine NPBS reflect=A',
      "attribute 'angle' is not a finite number: '-inf'", 3),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=nan to=10 step=5",
-     "attribute 'from' is not a finite number", 6),
+     "attribute 'from' is not a finite number: 'nan'", 6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=Infinity step=5",
-     "attribute 'to' is not a finite number", 6),
+     "attribute 'to' is not a finite number: 'Infinity'", 6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=inf",
-     "attribute 'step' is not a finite number", 6),
+     "attribute 'step' is not a finite number: 'inf'", 6),
+    ("", "empty bench file", 1),
+    ("# only a comment\n\n", "empty bench file", 1),
+    (_HEAD + "pre: HWP x", "malformed HWP attribute 'x', expected key=value", 3),
+    (_HEAD + "pre: HWP angle=1 angle=2", "duplicate attribute 'angle'", 3),
+    (_HEAD + "pre: PHASE phase=10 angle=20", "duplicate attribute 'angle'", 3),
+    (_HEAD + "pre: PH angle=10 phase=20", "duplicate attribute 'angle'", 3),
+    (_HEAD + "input state=y", "duplicate input statement", 3),
+    ('bench "a"\ninput state=', "input statement must be 'input state=<token>'", 2),
+    ('bench "a"\ninput neel_out', "input statement must be 'input state=<token>'", 2),
+    (_HEAD + "arm C: HWP angle=1",
+     "arm statement must be 'arm A: ...' or 'arm B: ...'", 3),
+    (_HEAD + "arm A HWP angle=1",
+     "arm statement must be 'arm A: ...' or 'arm B: ...'", 3),
+    (_HEAD + "arm A:", "arm elements without a split statement", 3),
+    (_HEAD + "split PBS\narm A: VL flipped=yes\ncombine NPBS reflect=A",
+     "flipped must be true or false, got 'yes'", 4),
+    (_HEAD + "combine NPBS reflect=A", "combine without a split statement", 3),
+    (_HEAD + "split PBS\ncombine NPBS reflect=A\ncombine NPBS reflect=B",
+     "duplicate combine statement", 5),
+    (_HEAD + "split PBS\ncombine BS reflect=A",
+     "combine statement must be 'combine NPBS reflect=<A|B>'", 4),
+    (_ARMS + "sweep element=HWP1 from=0 to=10", "sweep requires attribute 'step'", 6),
+    (_ARMS + "sweep element=HWP1 from=0 to=10 step=5 x=1",
+     "unknown attribute 'x' for sweep", 6),
+    (_ARMS + "sweep element=HWP1 from=0 to=10 step=-5",
+     "sweep step must point from 'from' toward 'to'", 6),
+    (_ARMS + "sweep element=HWP1 from=0 to=10 step=5 step=5",
+     "duplicate attribute 'step'", 6),
+    (_ARMS + "sweep element=HWP1 from=0 to=10 5",
+     "malformed sweep attribute '5', expected key=value", 6),
+    (_HEAD + "prelude HWP angle=1", "unknown statement 'prelude'", 3),
+    (_HEAD + "pre: PL angle=1", "unknown element kind 'PL'", 3),
+    ('bench "a"\nsplit PBS\ncombine NPBS reflect=A\n# trailing comment\n\n',
+     "missing input statement", 3),
+    ('bench "a;#" ; input state=x ; split PBS # c\n'
+     "arm A: HWP angle=1 ; arm B: HWP angle=2 id=HWP1\ncombine NPBS reflect=A",
+     "duplicate element id 'HWP1'", 2),
 ]
 
 
-@pytest.mark.parametrize("text,match,line", MALFORMED)
-def test_malformed_inputs_have_line_diagnostics(text, match, line):
+@pytest.mark.parametrize("text,message,line", MALFORMED)
+def test_malformed_inputs_have_line_diagnostics(text, message, line):
     with pytest.raises(op.BenchParseError) as err:
         op.parse_bench(text, source="bad.bench")
-    assert match in str(err.value)
+    assert str(err.value) == f"bad.bench:{line}: {message}"
     assert err.value.line == line
-    assert "bad.bench" in str(err.value)
 
 
 def _sweep_bench(spec):
@@ -309,6 +355,166 @@ def test_sweep_frame_cap_boundary():
     # a span that overflows to inf is refused too
     with pytest.raises(op.BenchParseError, match="sweep has inf frames"):
         op.parse_bench(_sweep_bench("from=-1e308 to=1e308 step=1"))
+
+
+# ------------------------------------------------------- format properties
+
+# fixed example set: the same benches are generated on every run
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
+                    database=None)
+
+# every accepted element token with its canonical kind, and the automatic
+# id prefix of each kind; written out here as the oracle for the parser
+TOKENS = {
+    "HWP": "HWP", "QWP": "QWP", "POLARIZER": "POLARIZER",
+    "MIRROR": "MIRROR", "M": "MIRROR",
+    "VL": "VORTEX_LENS", "VORTEX_LENS": "VORTEX_LENS",
+    "PHASE": "PHASE", "PH": "PHASE",
+}
+AUTO_PREFIX = {"HWP": "HWP", "QWP": "QWP", "POLARIZER": "PL",
+               "MIRROR": "M", "VORTEX_LENS": "VL", "PHASE": "PH"}
+HEADS = ("bench", "input", "pre", "arm", "split", "combine", "sweep")
+
+# statement separators, some carrying a comment with the characters the
+# scanner treats specially
+SEPARATORS = (";", " ; ", "\n", "\n\n", '  # note; "q" #\n', "\n# a; b\n")
+ANGLES = hs.one_of(
+    hs.integers(-720, 720).map(str),
+    hs.floats(-1e6, 1e6, allow_nan=False).map(repr),
+)
+
+
+@hs.composite
+def element_specs(draw):
+    """(token, kind, attribute texts, OpticalElement fields, explicit id?)"""
+    token = draw(hs.sampled_from(sorted(TOKENS)))
+    kind = TOKENS[token]
+    attrs, fields = [], {}
+    if kind in ("HWP", "QWP", "POLARIZER", "PHASE"):
+        angle = draw(ANGLES)
+        key = "phase" if kind == "PHASE" and draw(hs.booleans()) else "angle"
+        attrs.append(f"{key}={angle}")
+        fields["angle"] = float(angle)
+    if kind == "VORTEX_LENS":
+        if draw(hs.booleans()):
+            fields["chirality"] = draw(hs.sampled_from("LR"))
+            attrs.append(f"chirality={fields['chirality']}")
+        if draw(hs.booleans()):
+            fields["flipped"] = draw(hs.booleans())
+            attrs.append(f"flipped={str(fields['flipped']).lower()}")
+    return token, kind, attrs, fields, draw(hs.booleans())
+
+
+@hs.composite
+def bench_cases(draw):
+    """(statements, separators, expected BenchDescription)."""
+    name = draw(hs.text(alphabet='ab #;/=:\\', max_size=10))
+    input_state = draw(hs.sampled_from(
+        ["h_gaussian", "neel_out", "states/in.json"]))
+    split = draw(hs.booleans())
+    sections = {"pre": draw(hs.lists(element_specs(), max_size=4))}
+    for arm in "AB":
+        sections[arm] = draw(hs.lists(element_specs(), max_size=4)) if split else []
+
+    counts: dict[str, int] = {}
+    texts, placed = {}, {}
+    for key in ("pre", "A", "B"):
+        texts[key], placed[key] = [], []
+        for n, (token, kind, attrs, fields, explicit) in enumerate(sections[key]):
+            counts[kind] = counts.get(kind, 0) + 1
+            eid = f"{key}_{n}.x" if explicit else f"{AUTO_PREFIX[kind]}{counts[kind]}"
+            attrs = attrs + [f"id={eid}"] if explicit else attrs
+            texts[key].append(" ".join([token, *draw(hs.permutations(attrs))]))
+            placed[key].append(op.OpticalElement(kind=kind, element_id=eid, **fields))
+
+    # (statement, the SweepSpec it declares or None)
+    statements = [(f"input state={input_state}", None)]
+    if placed["pre"] or draw(hs.booleans()):
+        joiner = draw(hs.sampled_from([" / ", "/"]))
+        statements.append(("pre: " + joiner.join(texts["pre"]), None))
+    reflect = "B"
+    if split:
+        reflect = draw(hs.sampled_from("AB"))
+        statements += [("split PBS", None), (f"combine NPBS reflect={reflect}", None)]
+        for arm in "AB":
+            if placed[arm]:
+                statements.append((f"arm {arm}: " + " / ".join(texts[arm]), None))
+
+    ids = [e.element_id for key in ("pre", "A", "B") for e in placed[key]]
+    for _ in range(draw(hs.integers(0, 2) if ids else hs.just(0))):
+        start = draw(hs.integers(-360, 360))
+        step = draw(hs.integers(-30, 30).filter(bool))
+        stop = start + step * draw(hs.integers(0, 12))
+        record = draw(hs.lists(hs.sampled_from(op.RECORD_NAMES), max_size=3))
+        sweep = op.SweepSpec(draw(hs.sampled_from(ids)), start, stop, step,
+                             tuple(record))
+        words = [f"element={sweep.element_id}", f"from={start}", f"to={stop}",
+                 f"step={step}"] + ([f"record={','.join(record)}"] if record else [])
+        statements.append(("sweep " + " ".join(draw(hs.permutations(words))), sweep))
+
+    statements = draw(hs.permutations(statements))
+    expected = op.BenchDescription(
+        name=name, input_state=input_state, pre=tuple(placed["pre"]),
+        arm_a=tuple(placed["A"]), arm_b=tuple(placed["B"]), split=split,
+        reflect=reflect, sweeps=tuple(sw for _, sw in statements if sw))
+    statements = [f'bench "{name}"'] + [text for text, _ in statements]
+    separators = [draw(hs.sampled_from(SEPARATORS)) for _ in statements]
+    return statements, separators, expected
+
+
+def _join(statements, separators, lead=""):
+    return lead + "".join(s + sep for s, sep in zip(statements, separators))
+
+
+@PROPERTY
+@given(bench_cases(), hs.sampled_from(["", "# header\n", "\n \n"]))
+def test_generated_benches_round_trip(case, lead):
+    statements, separators, expected = case
+    bench = op.parse_bench(_join(statements, separators, lead))
+    assert bench == expected
+    canonical = op.serialize_bench(bench)
+    assert op.parse_bench(canonical) == bench
+    assert op.serialize_bench(op.parse_bench(canonical)) == canonical
+
+
+# statements that are wrong on their own, whatever surrounds them
+BAD_STATEMENTS = hs.one_of(
+    hs.from_regex(r"[a-z]{1,8}", fullmatch=True).filter(
+        lambda w: w not in HEADS).map(lambda w: w + " x=1"),
+    hs.from_regex(r"[A-Z]{1,6}", fullmatch=True).filter(
+        lambda k: k not in TOKENS).map(lambda k: f"pre: {k} angle=1"),
+    hs.sampled_from(sorted(TOKENS)).map(lambda t: f"pre: {t} bare"),
+    hs.sampled_from(["HWP", "QWP", "POLARIZER", "PH"]).map(
+        lambda t: f"pre: {t} id=Q"),
+    hs.from_regex(r"[a-z]{1,5}", fullmatch=True).filter(
+        lambda v: v not in ("inf", "nan")).map(lambda v: f"pre: HWP angle={v}"),
+    hs.sampled_from(["split CUBE", "combine NPBS reflect=C", "arm C: HWP angle=1",
+                     "input nowhere", 'bench unquoted', "pre: VL flipped=maybe",
+                     "sweep element=HWP1 from=0 to=1 step=1 loose"]),
+)
+
+
+@PROPERTY
+@given(bench_cases(), BAD_STATEMENTS, hs.data())
+def test_generated_malformed_statements_name_their_line(case, bad, data):
+    statements, separators, _ = case
+    at = data.draw(hs.integers(0, len(statements)), label="insert at")
+    text = _join(statements[:at], separators[:at])
+    line = text.count("\n") + 1
+    text += bad + "\n" + _join(statements[at:], separators[at:])
+    with pytest.raises(op.BenchParseError) as err:
+        op.parse_bench(text)
+    assert 1 <= err.value.line <= len(text.splitlines())
+    assert err.value.line == line
+
+
+@PROPERTY
+@given(hs.text(alphabet='bench"input state=x pre:HWP angle1/;#\nsplitPBS', max_size=60))
+def test_arbitrary_text_parses_or_names_a_line(text):
+    try:
+        op.parse_bench(text)
+    except op.BenchParseError as err:
+        assert 1 <= err.line <= max(1, len(text.splitlines()))
 
 
 # ---------------------------------------------------------------- running
@@ -408,6 +614,13 @@ def test_run_bench_rejects_file_input_token_without_state():
     bench = op.parse_bench(text)
     with pytest.raises(ValueError, match="file"):
         op.run_bench(bench)
+
+
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -2.0])
+def test_run_bench_refuses_a_bad_hbar(hbar):
+    with pytest.raises(ValueError) as err:
+        op.run_bench(fig1_bench(), hbar=hbar)
+    assert str(err.value) == f"hbar must be positive and finite, got {hbar!r}"
 
 
 def test_single_path_bench_and_polarizer_extinction():

@@ -109,6 +109,17 @@ def test_construction_rejects_non_finite_photon_number(n0):
         st.CoherentState(np.ones(6, dtype=complex), n0=n0)
 
 
+@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -2.0])
+def test_construction_rejects_a_bad_hbar(hbar):
+    message = f"hbar must be positive and finite, got {hbar!r}"
+    with pytest.raises(ValueError) as err:
+        st.CoherentState(np.ones(6, dtype=complex), hbar=hbar)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        st.named_state("neel_out", hbar=hbar)
+    assert str(err.value) == message
+
+
 def test_expectation_rejects_non_hermitian():
     m = np.zeros((6, 6), dtype=complex)
     m[0, 1] = 1.0
