@@ -271,11 +271,13 @@ def adjoint_matrices(g: np.ndarray) -> AdjointRep:
     return AdjointRep(matrices=G, closure_constant=c)
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: pair_triple(3.0, 4.0) still fails
 def pair_triple(i: int, j: int) -> np.ndarray:
     """Pauli triple (X, Y, Z) on the two states i < j (1-based).
 
     Entries are 0, +-1, +-i, assembled directly so the restriction to the
-    (i, j) support equals the Pauli matrices bit for bit.
+    (i, j) support equals the Pauli matrices bit for bit.  Cached and
+    read-only: repeated calls return the same array.
     """
     if not (1 <= i < j <= 6):
         raise ValueError(f"need 1 <= i < j <= 6, got ({i}, {j})")

@@ -44,9 +44,12 @@ PHASE (PH)         angle (or phase)          uniform phase factor
                                              exp(i*angle)
 =================  ========================  ================================
 
-A sweep's ``record=`` is a comma list of RECORD_NAMES.  It is validated
-and echoed into the trajectory sidecar, but it selects no output: the
-CLI's ``bench sweep --fields`` is what writes the field frames.
+A sweep names an element with an angle (HWP, QWP, POLARIZER or PHASE).
+Its ``record=`` is a comma list of RECORD_NAMES.  It is validated and
+echoed into the trajectory sidecar, but it selects no output: the CLI's
+``bench sweep --fields`` is what writes the field frames.  A sweep builds
+each fixed element operator once and rebuilds only the swept one per
+frame.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -200,12 +203,15 @@ class BenchParseError(ValueError):
 # --------------------------------------------------------------- operators
 
 _C2 = np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2)
+_EYE3 = np.eye(3, dtype=complex)
 
 
 def _lift_spin(op2: np.ndarray) -> np.ndarray:
     # conjugate a linear-basis Jones matrix into the circular basis and
-    # extend it over the three orbital modes
-    return np.kron(_C2 @ op2 @ _C2.conj().T, np.eye(3, dtype=complex))
+    # extend it over the three orbital modes: kron(m, 1_3) as the same
+    # broadcast product np.kron forms, without its expand_dims overhead
+    m = _C2 @ op2 @ _C2.conj().T
+    return (m[:, None, :, None] * _EYE3[None, :, None, :]).reshape(6, 6)
 
 
 def _jones_half_wave(theta: float) -> np.ndarray:
@@ -447,18 +453,18 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
     # automatic ids count each kind over pre, arm A, then arm B
     placed.sort(key=lambda entry: _SECTIONS.index(entry[0]))
     kind_counts: dict[str, int] = {}
-    seen_ids: set[str] = set()
+    kind_of: dict[str, str] = {}  # element id -> kind
     for i, (section, line, e) in enumerate(placed):
         kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
         if e.element_id is None:
             auto = f"{_KINDS[e.kind].prefix}{kind_counts[e.kind]}"
             e = dataclasses.replace(e, element_id=auto)
             placed[i] = (section, line, e)
-        if e.element_id in seen_ids:
+        if e.element_id in kind_of:
             raise BenchParseError(
                 f"duplicate element id {e.element_id!r}", source, line
             )
-        seen_ids.add(e.element_id)
+        kind_of[e.element_id] = e.kind
 
     if first_arm_line is not None and split_line is None:
         raise BenchParseError(
@@ -484,9 +490,16 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
                     f"unknown attribute {key!r} for sweep", source, line
                 )
         element_id = attrs["element"]
-        if element_id not in seen_ids:
+        kind = kind_of.get(element_id)
+        if kind is None:
             raise BenchParseError(
                 f"sweep references unknown element id {element_id!r}", source, line
+            )
+        if "angle" not in _KINDS[kind].attrs:
+            raise BenchParseError(
+                f"sweep element {element_id!r} is a {kind}, which has no angle",
+                source,
+                line,
             )
         start = _parse_number(attrs["from"], "'from'", source, line)
         stop = _parse_number(attrs["to"], "'to'", source, line)
@@ -592,6 +605,57 @@ def shipped_bench_path(name: str):
 # ----------------------------------------------------------------- running
 
 
+def _input_state(
+    bench: BenchDescription, input_state: CoherentState | None, n0: float, hbar: float
+) -> CoherentState:
+    if input_state is not None:
+        return input_state
+    if bench.input_state not in state_names():
+        raise ValueError(
+            f"input state {bench.input_state!r} is not a named state; load "
+            "the file yourself and pass input_state explicitly"
+        )
+    return named_state(bench.input_state, n0=n0, hbar=hbar)
+
+
+def _sections(bench: BenchDescription) -> tuple[tuple[OpticalElement, ...], ...]:
+    # (pre, arm A, arm B); the arms act only behind a splitter
+    return (bench.pre, bench.arm_a, bench.arm_b) if bench.split else (bench.pre, (), ())
+
+
+def _operators(bench: BenchDescription) -> list[list[np.ndarray]]:
+    """Element operators of the bench as [pre, arm A, arm B], in bench order."""
+    return [[element_operator(e) for e in elems] for elems in _sections(bench)]
+
+
+def _propagate(
+    bench: BenchDescription, ops: list[list[np.ndarray]], input_state: CoherentState
+) -> CoherentState:
+    """Apply prebuilt operators to the input; see run_bench."""
+    pre, ops_a, ops_b = ops
+    a = input_state.alpha.astype(complex)
+    for m in pre:
+        a = m @ a
+    if bench.split:
+        arm_a = _PROJ_H6 @ a
+        arm_b = _PROJ_V6 @ a
+        for m in ops_a:
+            arm_a = m @ arm_a
+        for m in ops_b:
+            arm_b = m @ arm_b
+        if bench.reflect == "A":
+            arm_a = _MIRROR6 @ arm_a
+        else:
+            arm_b = _MIRROR6 @ arm_b
+        a = (arm_a + arm_b) / np.sqrt(2)
+    if np.linalg.norm(a) < 1e-12:
+        raise RuntimeError(
+            "bench output is fully extinguished "
+            "(destructive recombination or a crossed polarizer)"
+        )
+    return CoherentState(a, n0=input_state.n0, hbar=input_state.hbar)
+
+
 def run_bench(
     bench: BenchDescription,
     input_state: CoherentState | None = None,
@@ -604,34 +668,8 @@ def run_bench(
     component into arm B; at the NPBS the reflected arm picks up one
     mirror flip before the two amplitudes add.
     """
-    if input_state is None:
-        if bench.input_state not in state_names():
-            raise ValueError(
-                f"input state {bench.input_state!r} is not a named state; load "
-                "the file yourself and pass input_state explicitly"
-            )
-        input_state = named_state(bench.input_state, n0=n0, hbar=hbar)
-    a = input_state.alpha.astype(complex)
-    for e in bench.pre:
-        a = element_operator(e) @ a
-    if bench.split:
-        arm_a = _PROJ_H6 @ a
-        arm_b = _PROJ_V6 @ a
-        for e in bench.arm_a:
-            arm_a = element_operator(e) @ arm_a
-        for e in bench.arm_b:
-            arm_b = element_operator(e) @ arm_b
-        if bench.reflect == "A":
-            arm_a = _MIRROR6 @ arm_a
-        else:
-            arm_b = _MIRROR6 @ arm_b
-        a = (arm_a + arm_b) / np.sqrt(2)
-    if np.linalg.norm(a) < 1e-12:
-        raise RuntimeError(
-            "bench output is fully extinguished "
-            "(destructive recombination or a crossed polarizer)"
-        )
-    return CoherentState(a, n0=input_state.n0, hbar=input_state.hbar)
+    input_state = _input_state(bench, input_state, n0, hbar)
+    return _propagate(bench, _operators(bench), input_state)
 
 
 def set_element_angle(
@@ -659,7 +697,9 @@ def run_sweep(
     """Run every frame of a sweep.
 
     ``sweep`` selects among the bench's declared sweeps by element id;
-    None takes the first declared sweep.
+    None takes the first declared sweep.  Each frame equals run_bench on
+    set_element_angle(bench, id, value), bit for bit: the fixed element
+    operators are built once, and only the swept one per frame.
     """
     specs = [s for s in bench.sweeps if sweep is None or s.element_id == sweep]
     if not specs:
@@ -672,13 +712,19 @@ def run_sweep(
         )
     spec = specs[0]
     values = spec.values
-    frames = tuple(
-        run_bench(
-            set_element_angle(bench, spec.element_id, float(v)),
-            input_state=input_state,
-            n0=n0,
-            hbar=hbar,
-        )
-        for v in values
-    )
-    return SweepResult(bench=bench, sweep=spec, parameters=values, frames=frames)
+    frames = []
+    if len(values):  # an empty sweep runs no frame, so it checks nothing
+        bench.find_element(spec.element_id)
+        input_state = _input_state(bench, input_state, n0, hbar)
+        ops = _operators(bench)
+        swept = [
+            (row, i, e)
+            for row, elems in zip(ops, _sections(bench))
+            for i, e in enumerate(elems)
+            if e.element_id == spec.element_id
+        ]
+        for v in values:
+            for row, i, e in swept:
+                row[i] = element_operator(dataclasses.replace(e, angle=float(v)))
+            frames.append(_propagate(bench, ops, input_state))
+    return SweepResult(bench=bench, sweep=spec, parameters=values, frames=tuple(frames))

@@ -265,6 +265,22 @@ def test_pair_triple_is_one_based_and_range_checked():
             alg.pair_triple(*bad)
 
 
+def test_pair_triple_is_cached_and_read_only():
+    for i in range(1, 6):
+        for j in range(i + 1, 7):
+            first = alg.pair_triple(i, j)
+            assert alg.pair_triple(i, j) is first
+            assert not first.flags.writeable
+    assert alg.skyrmion_generators() is alg.pair_triple(3, 4)
+
+
+def test_out_of_range_pair_raises_on_every_call():
+    for bad in ((4, 3), (0, 1), (5, 7), (2, 2)):
+        for _ in range(3):  # a refusal is never cached
+            with pytest.raises(ValueError, match=r"need 1 <= i < j <= 6"):
+                alg.pair_triple(*bad)
+
+
 def test_adjoint_matrices_reject_zero_or_nonfinite_constants():
     for g in (np.zeros((35, 35, 35)), np.full((35, 35, 35), np.nan)):
         with pytest.raises(ValueError, match="zero or not finite"):

@@ -246,6 +246,11 @@ MALFORMED = [
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=0",
      "sweep step must be nonzero", 6),
+    (_HEAD + "pre: MIRROR / HWP angle=0\nsweep element=M1 from=0 to=90 step=10",
+     "sweep element 'M1' is a MIRROR, which has no angle", 4),
+    (_HEAD + "pre: VL chirality=L id=lens\n"
+     "sweep element=lens from=0 to=nan step=x",
+     "sweep element 'lens' is a VORTEX_LENS, which has no angle", 4),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=0\ncombine NPBS reflect=A\n'
      "sweep element=HWP1 from=0 to=10 step=3",
      "sweep span is not an integer number of steps", 6),
@@ -373,6 +378,7 @@ TOKENS = {
 }
 AUTO_PREFIX = {"HWP": "HWP", "QWP": "QWP", "POLARIZER": "PL",
                "MIRROR": "M", "VORTEX_LENS": "VL", "PHASE": "PH"}
+ANGLE_KINDS = ("HWP", "QWP", "POLARIZER", "PHASE")  # the kinds a sweep may name
 HEADS = ("bench", "input", "pre", "arm", "split", "combine", "sweep")
 
 # statement separators, some carrying a comment with the characters the
@@ -390,7 +396,7 @@ def element_specs(draw):
     token = draw(hs.sampled_from(sorted(TOKENS)))
     kind = TOKENS[token]
     attrs, fields = [], {}
-    if kind in ("HWP", "QWP", "POLARIZER", "PHASE"):
+    if kind in ANGLE_KINDS:
         angle = draw(ANGLES)
         key = "phase" if kind == "PHASE" and draw(hs.booleans()) else "angle"
         attrs.append(f"{key}={angle}")
@@ -440,7 +446,8 @@ def bench_cases(draw):
             if placed[arm]:
                 statements.append((f"arm {arm}: " + " / ".join(texts[arm]), None))
 
-    ids = [e.element_id for key in ("pre", "A", "B") for e in placed[key]]
+    ids = [e.element_id for key in ("pre", "A", "B") for e in placed[key]
+           if e.kind in ANGLE_KINDS]
     for _ in range(draw(hs.integers(0, 2) if ids else hs.just(0))):
         start = draw(hs.integers(-360, 360))
         step = draw(hs.integers(-30, 30).filter(bool))
@@ -665,3 +672,105 @@ def test_sweeping_a_phase_element():
     assert abs(st.overlap(res.frames[0], res.frames[4])) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+# ------------------------------------------------- sweeps reuse operators
+
+
+def _outcome(fn):
+    """Bytes of a camera state, or the type and text of its error."""
+    try:
+        out = fn()
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+    return out.alpha.tobytes(), out.n0, out.hbar
+
+
+@PROPERTY
+@given(bench_cases(), hs.sampled_from([None, "dipolar", "basis_3"]),
+       hs.sampled_from([1.0, 2.5]))
+def test_sweep_frames_equal_single_runs(case, given_input, n0):
+    bench = case[2]
+    input_state = given_input and st.named_state(given_input, n0=n0)
+    for element_id in {sw.element_id for sw in bench.sweeps}:
+        spec = next(sw for sw in bench.sweeps if sw.element_id == element_id)
+        want = [_outcome(lambda: op.run_bench(
+                    op.set_element_angle(bench, element_id, float(v)),
+                    input_state=input_state, n0=n0))
+                for v in spec.values]
+        errors = [w for w in want if isinstance(w[0], type)]
+        try:
+            res = op.run_sweep(bench, element_id, input_state=input_state, n0=n0)
+        except (ValueError, RuntimeError) as err:
+            # the sweep stops at its first failing frame, with that error
+            assert errors and (type(err), str(err)) == errors[0]
+            continue
+        assert not errors
+        assert res.parameters.tobytes() == spec.values.tobytes()
+        assert [(f.alpha.tobytes(), f.n0, f.hbar) for f in res.frames] == want
+
+
+def test_sweep_errors_keep_their_text_and_order():
+    plate = op.OpticalElement("HWP", 0.0, element_id="H")
+    crossed = op.OpticalElement("POLARIZER", 90.0, element_id="P")
+    bench = op.BenchDescription("o", "in.json", pre=(plate, crossed),
+                                sweeps=(op.SweepSpec("X", 0.0, 10.0, 5.0),
+                                        op.SweepSpec("H", 0.0, 10.0, 5.0)))
+    h_in = st.named_state("h_gaussian")
+    # an unknown id comes before the file input, which comes before extinction
+    with pytest.raises(ValueError) as err:
+        op.run_sweep(bench, "X", input_state=h_in)
+    assert str(err.value) == "bench 'o' has no element 'X' (known: H, P)"
+    file_input = (
+        "input state 'in.json' is not a named state; load the file yourself "
+        "and pass input_state explicitly"
+    )
+    for run in (lambda: op.run_sweep(bench, "H"), lambda: op.run_bench(bench)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == file_input
+    extinguished = (
+        "bench output is fully extinguished "
+        "(destructive recombination or a crossed polarizer)"
+    )
+    for run in (lambda: op.run_sweep(bench, "H", input_state=h_in),
+                lambda: op.run_bench(bench, input_state=h_in)):
+        with pytest.raises(RuntimeError) as err:
+            run()
+        assert str(err.value) == extinguished
+
+
+def test_lift_spin_equals_kron_byte_for_byte():
+    rng = np.random.default_rng(3)
+    zeros = np.array([0.0, -0.0])
+    for _ in range(2000):
+        parts = rng.normal(size=(2, 2, 2))
+        # about a third of the parts are signed zeros
+        hit = rng.random(parts.shape) < 0.35
+        parts[hit] = rng.choice(zeros, size=int(hit.sum()))
+        jones = np.empty((2, 2), dtype=complex)
+        jones.real, jones.imag = parts  # no arithmetic, so -0.0 survives
+        got = op._lift_spin(jones)
+        assert got.tobytes() == lift(jones).tobytes()
+        assert got.flags.c_contiguous
+
+
+def test_sweep_builds_each_fixed_operator_once(monkeypatch):
+    bench = fig1_bench()
+    built = []
+    element_operator = op.element_operator
+
+    def counting(e):
+        built.append(e.element_id)
+        return element_operator(e)
+
+    monkeypatch.setattr(op, "element_operator", counting)
+    n = len(bench.all_elements())
+    op.run_bench(bench)
+    assert len(built) == n == 11
+    built.clear()
+    res = op.run_sweep(bench, "HWP3")
+    frames = len(res.frames)
+    # 11 + F calls; building every operator per frame took 11 * F
+    assert len(built) == n + frames == 30
+    assert built[n:] == ["HWP3"] * frames

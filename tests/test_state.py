@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from su6lab import algebra as alg
 from su6lab import state as st
@@ -330,6 +332,49 @@ def test_correspondence_residual_is_what_it_says():
     expected = float(np.max(np.abs(rotated - classical)))
     got = st.correspondence_residual(s, axis, angle, basis=basis, adjoint=adj)
     assert got == pytest.approx(expected, abs=1e-15)
+
+
+# fixed example set: the same states, axes and angles on every run
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
+                    database=None)
+UNIT = hs.floats(-1.0, 1.0, allow_nan=False)
+SCALE = hs.floats(0.1, 10.0, allow_nan=False)
+
+
+@hs.composite
+def states(draw):
+    """Random amplitudes (norm at least 1e-3) with random N0 and hbar."""
+    parts = np.array(draw(hs.lists(UNIT, min_size=12, max_size=12)))
+    a = parts[:6] + 1j * parts[6:]
+    assume(np.linalg.norm(a) >= 1e-3)
+    return st.CoherentState(a, n0=draw(SCALE), hbar=draw(SCALE))
+
+
+@hs.composite
+def unit_axes(draw):
+    axis = np.array(draw(hs.lists(UNIT, min_size=35, max_size=35)))
+    norm = np.linalg.norm(axis)
+    assume(norm >= 1e-3)
+    return axis / norm
+
+
+@pytest.fixture(scope="module")
+def adjoint():
+    return alg.adjoint_matrices(alg.structure_constants())
+
+
+@PROPERTY
+@given(states())
+def test_observable_vector_radius_property(s):
+    radius = np.linalg.norm(st.all_expectations(s))
+    assert radius == pytest.approx(s.hbar * s.n0 * np.sqrt(5.0 / 3.0), rel=1e-12)
+
+
+@PROPERTY
+@given(s=states(), axis=unit_axes(), angle=hs.floats(-10.0, 10.0, allow_nan=False))
+def test_correspondence_residual_property(adjoint, s, axis, angle):
+    resid = st.correspondence_residual(s, axis, angle, adjoint=adjoint)
+    assert resid < 1e-10
 
 
 def test_subsphere_enumeration_partitions_all_pairs():
