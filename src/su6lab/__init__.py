@@ -14,67 +14,33 @@ The package splits into five parts:
 * :mod:`su6lab.cli` exposes all of the above as a command line tool.
 """
 
-from .algebra import (
-    adjoint_matrices,
-    antiskyrmion_generators,
-    exp_adjoint,
-    exp_generator,
-    gell_mann_matrices,
-    pauli_matrices,
-    skyrmion_generators,
-    structure_constants,
-    su6_basis,
-)
-from .field import (
-    TopologicalCharge,
-    TransverseGrid,
-    classify_texture,
-    lg_mode,
-    skyrmion_number,
-    skyrmion_number_solid_angle,
-    soup_bubble,
-    stokes_fields,
-    synthesize,
-    topological_charge,
-)
-from .optics import (
-    BenchParseError,
-    parse_bench,
-    run_bench,
-    run_sweep,
-    serialize_bench,
-    shipped_bench_path,
-)
-from .state import CoherentState, named_state
+from importlib import import_module
 
-__all__ = [
-    "BenchParseError",
-    "CoherentState",
-    "TopologicalCharge",
-    "TransverseGrid",
-    "adjoint_matrices",
-    "antiskyrmion_generators",
-    "classify_texture",
-    "exp_adjoint",
-    "exp_generator",
-    "gell_mann_matrices",
-    "lg_mode",
-    "named_state",
-    "parse_bench",
-    "pauli_matrices",
-    "run_bench",
-    "run_sweep",
-    "serialize_bench",
-    "shipped_bench_path",
-    "skyrmion_generators",
-    "skyrmion_number",
-    "skyrmion_number_solid_angle",
-    "soup_bubble",
-    "stokes_fields",
-    "structure_constants",
-    "su6_basis",
-    "synthesize",
-    "topological_charge",
-]
+# The public names by defining module.  They resolve on first use (PEP
+# 562), so a command imports only the modules it runs: ``algebra export``
+# and ``state eval`` load neither ``field`` nor ``optics``.
+_EXPORTS = {
+    "algebra": ("adjoint_matrices", "antiskyrmion_generators", "exp_adjoint",
+                "exp_generator", "gell_mann_matrices", "pauli_matrices",
+                "skyrmion_generators", "structure_constants", "su6_basis"),
+    "field": ("TopologicalCharge", "TransverseGrid", "classify_texture",
+              "lg_mode", "skyrmion_number", "skyrmion_number_solid_angle",
+              "soup_bubble", "stokes_fields", "synthesize",
+              "topological_charge"),
+    "optics": ("BenchParseError", "parse_bench", "run_bench", "run_sweep",
+               "serialize_bench", "shipped_bench_path"),
+    "state": ("CoherentState", "named_state"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,8 +24,11 @@ import sys
 
 import numpy as np
 
-from . import algebra, field, optics, serialize
+from . import algebra, serialize
 from . import state as st
+
+# field and optics are imported inside the commands that run them, so
+# the algebra and state commands do not pay for compiling them
 
 __all__ = ["main"]
 
@@ -43,10 +46,12 @@ def _positive_float(text: str) -> float:
 
 
 def _grid_size(text: str) -> int:
+    from .field import MIN_GRID
+
     value = int(text)
-    if value < field.MIN_GRID:
+    if value < MIN_GRID:
         raise argparse.ArgumentTypeError(
-            f"grid size must be >= {field.MIN_GRID}, got {text!r}")
+            f"grid size must be >= {MIN_GRID}, got {text!r}")
     return value
 
 
@@ -231,7 +236,7 @@ def cmd_algebra_export(args) -> int:
     _write_file(args, files, "g_tensor.json", serialize.json_text({
         "version": basis.version,
         "noise_cutoff": 1e-14,
-        "entries": [list(e) for e in entries],
+        "entries": entries,
     }), noise_cutoff=1e-14)
     _write_file(args, files, "g_tensor.csv", serialize.g_tensor_csv(g),
                 columns=["l", "m", "n", "value"], noise_cutoff=1e-14)
@@ -287,6 +292,8 @@ def cmd_state_eval(args) -> int:
 
 
 def _load_bench(token: str) -> optics.BenchDescription:
+    from . import optics
+
     if os.path.exists(token):
         path = token
     else:
@@ -296,6 +303,8 @@ def _load_bench(token: str) -> optics.BenchDescription:
 
 
 def cmd_bench_run(args) -> int:
+    from . import field, optics
+
     bench = _load_bench(args.bench)
     out_state = optics.run_bench(
         bench, input_state=_resolve_state(bench.input_state, "bench input"))
@@ -319,6 +328,8 @@ def cmd_bench_run(args) -> int:
 
 
 def cmd_bench_sweep(args) -> int:
+    from . import field, optics
+
     bench = _load_bench(args.bench)
     result = optics.run_sweep(
         bench, sweep=args.element,
@@ -366,6 +377,8 @@ def cmd_bench_sweep(args) -> int:
 
 
 def cmd_field_render(args) -> int:
+    from . import field
+
     state = _resolve_state(args.state)
     grid = field.TransverseGrid(size=args.grid, extent=args.extent)
     e_left, e_right = field.synthesize(state, grid, waist=args.waist)

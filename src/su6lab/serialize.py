@@ -2,12 +2,21 @@
 
 Every float is printed with 17 significant digits ('%.17g'), enough to
 round-trip IEEE doubles, so identical inputs give byte-identical files.
-The JSON writer is local because the stdlib emitter prints shortest
-repr, not a fixed format, and emits NaN literals that JSON forbids;
-here NaN and infinities become null.
+CSV cells print non-finite values and negative zero as '%.17g' does
+('nan', 'inf', '-inf', '-0'); JSON writes null where CSV writes nan or
+inf.  The JSON writer is local because the stdlib emitter prints
+shortest repr, not a fixed format, and emits NaN literals that JSON
+forbids.
+
+Arrays are formatted by ``_distinct_text``: it formats each distinct
+float64 bit pattern once and indexes the texts back into place, so
+repeated values (grid axes, zeros, symmetric fields) cost one format
+each.  CSV tables are built in blocks of at most ``_BLOCK_CELLS`` cells
+so the temporary text arrays stay small at large grids.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -38,9 +47,52 @@ __all__ = [
 ]
 
 
+_BLOCK_CELLS = 1 << 16
+
+
 def format_float(value) -> str:
-    """17-significant-digit decimal form of one finite float."""
+    """'%.17g' text of one float: 17 significant digits, which round-trip
+    a double.  Not only for finite values: nan, inf, -inf and -0.0 print
+    as 'nan', 'inf', '-inf' and '-0' (JSON replaces the first three with
+    null)."""
     return "%.17g" % float(value)
+
+
+def _distinct_text(values, nonfinite: str | None = None):
+    """(texts, inverse) with ``texts[inverse]`` the format_float text of
+    every entry of the real array ``values``, in its shape.
+
+    Each distinct float64 bit pattern is formatted once.  Comparing bit
+    patterns, not values, keeps -0.0 apart from 0.0 and gives nan a key.
+    ``nonfinite``, when given, is the text of nan and +-inf instead.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.int64),
+                              return_inverse=True)
+    floats = bits.view(np.float64)
+    texts = np.array(["%.17g" % v for v in floats.tolist()], dtype=object)
+    if nonfinite is not None:
+        texts[~np.isfinite(floats)] = nonfinite
+    return texts, inverse.reshape(a.shape)
+
+
+def _csv(columns, *arrays) -> str:
+    """CSV text: the ``columns`` header, then one line per row of the
+    arrays side by side.  Each array holds one row per line, either one
+    column (1-D) or several (2-D); every cell prints as format_float.
+    Integer columns print as integers, since '%.17g' of an integral
+    double below 2**53 is its decimal digits."""
+    parts = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    rows = len(parts[0])
+    step = max(1, _BLOCK_CELLS // sum(p.shape[1] for p in parts))
+    chunks = [",".join(columns) + "\n"]
+    for lo in range(0, rows, step):
+        block = np.hstack([p[lo:lo + step] for p in parts])
+        texts, inverse = _distinct_text(block)
+        cells = (texts + ",")[inverse]
+        cells[:, -1] = texts[inverse[:, -1]] + "\n"
+        chunks.append("".join(cells.ravel().tolist()))
+    return "".join(chunks)
 
 
 def _json_value(value, indent: str, depth: int) -> str:
@@ -48,7 +100,7 @@ def _json_value(value, indent: str, depth: int) -> str:
     close = indent * depth
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -64,6 +116,8 @@ def _json_value(value, indent: str, depth: int) -> str:
             out = out.replace(raw, esc)
         return f'"{out}"'
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "fc" and np.can_cast(value.dtype, np.complex128):
+            return _json_array(value, indent, depth)
         return _json_value(value.tolist(), indent, depth)
     if isinstance(value, dict):
         if not value:
@@ -83,6 +137,34 @@ def _json_value(value, indent: str, depth: int) -> str:
         items = [f"{pad}{p}" for p in parts]
         return "[\n" + ",\n".join(items) + f"\n{close}]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _json_array(a: np.ndarray, indent: str, depth: int) -> str:
+    """A float or complex array as _json_value prints ``a.tolist()``:
+    innermost lists inline, outer lists one item per line, a complex
+    value as its [re, im] pair and non-finite values as null."""
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    texts, inverse = _distinct_text(a, nonfinite="null")
+    if a.ndim == 0:
+        return texts[inverse[()]]
+    shape = a.shape
+    if 0 in shape:
+        # a zero-length axis prints as [] and hides the axes inside it
+        levels = shape.index(0)
+        items = ["[]"] * math.prod(shape[:levels])
+    else:
+        levels = a.ndim - 1
+        items = ["[" + ", ".join(row) + "]"
+                 for row in texts[inverse].reshape(-1, shape[-1]).tolist()]
+    for k in reversed(range(levels)):
+        pad = indent * (depth + k + 1)
+        head, sep = "[\n" + pad, ",\n" + pad
+        tail = "\n" + indent * (depth + k) + "]"
+        n = shape[k]
+        items = [head + sep.join(items[i:i + n]) + tail
+                 for i in range(0, len(items), n)]
+    return items[0]
 
 
 def json_text(obj) -> str:
@@ -128,20 +210,17 @@ def load_state(path: str) -> CoherentState:
 # ----------------------------------------------------------------- algebra
 
 
-def g_tensor_entries(g: np.ndarray, cutoff: float = 1e-14) -> list:
-    """Nonzero (l, m, n, value) entries, 1-based; entries below the
-    cutoff are cancellation noise of the trace arithmetic, not values."""
-    rows = []
-    for l, m, n in zip(*np.nonzero(np.abs(g) > cutoff)):
-        rows.append((int(l) + 1, int(m) + 1, int(n) + 1, float(g[l, m, n])))
-    return rows
+def g_tensor_entries(g: np.ndarray, cutoff: float = 1e-14) -> np.ndarray:
+    """Nonzero entries as (l, m, n, value) rows of a float array, indices
+    1-based and in index order; entries below the cutoff are cancellation
+    noise of the trace arithmetic, not values.  The indices print as
+    integers in CSV and JSON alike."""
+    index = np.nonzero(np.abs(g) > cutoff)
+    return np.column_stack([*(i + 1.0 for i in index), g[index]])
 
 
 def g_tensor_csv(g: np.ndarray) -> str:
-    lines = ["l,m,n,value"]
-    for l, m, n, value in g_tensor_entries(g):
-        lines.append(f"{l},{m},{n},{format_float(value)}")
-    return "\n".join(lines) + "\n"
+    return _csv(("l", "m", "n", "value"), g_tensor_entries(g))
 
 
 # -------------------------------------------------------------- trajectories
@@ -166,18 +245,19 @@ def trajectory_csv(parameters, frames) -> str:
     """One row per sweep frame: swept value (degrees), the three sphere
     coordinate triples (units of hbar*N0) and the torus angles (radians,
     blank-as-nan when the frame leaves the torus family)."""
-    lines = [",".join(TRAJECTORY_COLUMNS)]
+    rows = []
     for value, frame in zip(parameters, frames):
-        cells = [format_float(value)]
+        row = [value]
         for sphere in (skyrmion_sphere, antiskyrmion_sphere, oam_sphere):
-            cells.extend(format_float(c) for c in sphere(frame).coords)
+            row.extend(sphere(frame).coords)
         try:
             torus = state_to_torus(frame, tol=1e-6)
-            cells.extend([format_float(torus.theta_p), format_float(torus.phi_t)])
+            row.extend([torus.theta_p, torus.phi_t])
         except ValueError:
-            cells.extend(["nan", "nan"])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            row.extend([np.nan, np.nan])
+        rows.append(row)
+    table = np.array(rows, dtype=np.float64).reshape(-1, len(TRAJECTORY_COLUMNS))
+    return _csv(TRAJECTORY_COLUMNS, table)
 
 
 # ------------------------------------------------------------------- fields
@@ -188,22 +268,9 @@ FIELD_COLUMNS = ("x", "y", "S0", "S1", "S2", "S3", "nx", "ny", "nz")
 def field_csv(sf) -> str:
     """Pixel rows in array order (y rising slowest, x fastest)."""
     g = sf.grid
-    cols = [
-        g.xx,
-        g.yy,
-        sf.s0,
-        sf.s1,
-        sf.s2,
-        sf.s3,
-        sf.n[..., 0],
-        sf.n[..., 1],
-        sf.n[..., 2],
-    ]
-    data = np.column_stack([c.ravel() for c in cols])
-    lines = [",".join(FIELD_COLUMNS)]
-    for row in data:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    planes = (g.xx, g.yy, sf.s0, sf.s1, sf.s2, sf.s3,
+              sf.n[..., 0], sf.n[..., 1], sf.n[..., 2])
+    return _csv(FIELD_COLUMNS, *(p.ravel() for p in planes))
 
 
 def pgm_bytes(channel: np.ndarray) -> tuple[bytes, float, float]:
@@ -225,17 +292,11 @@ def pgm_bytes(channel: np.ndarray) -> tuple[bytes, float, float]:
 
 
 def texture_map_csv(tm) -> str:
-    lines = ["theta_bin,phi_bin,nx,ny,nz,count"]
     n_theta, n_phi = tm.bins
-    for i in range(n_theta):
-        for j in range(n_phi):
-            v = tm.vectors[i, j]
-            lines.append(
-                f"{i},{j},"
-                f"{format_float(v[0])},{format_float(v[1])},"
-                f"{format_float(v[2])},{int(tm.counts[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    theta_bin, phi_bin = np.indices((n_theta, n_phi))
+    return _csv(("theta_bin", "phi_bin", "nx", "ny", "nz", "count"),
+                theta_bin.ravel(), phi_bin.ravel(),
+                tm.vectors.reshape(-1, 3), tm.counts.ravel())
 
 
 # ----------------------------------------------------------------- sidecars

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import su6lab
 import su6lab.algebra as alg
 import su6lab.optics as op
 import su6lab.serialize as ser
@@ -421,3 +422,29 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_algebra_and_state_commands_leave_field_and_optics_unloaded(tmp_path):
+    # field and optics are imported by the commands that run them
+    code = ("import sys; from su6lab.cli import main; "
+            "codes = [main(['state', 'eval', '--state', 'basis_3']), "
+            f"main(['algebra', 'export', '--out', {str(tmp_path)!r}])]; "
+            "print(codes, sorted(m for m in ('su6lab.field', 'su6lab.optics') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_package_resolves_every_public_name():
+    # a fresh process, so every name goes through the lazy module __getattr__
+    code = ("import importlib, su6lab; print(sorted(n for n in su6lab.__all__ "
+            "if getattr(su6lab, n) is not getattr(importlib.import_module("
+            "getattr(su6lab, n).__module__), n)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        su6lab.no_such_name
