@@ -5,8 +5,9 @@ The package splits into five parts:
 
 * :mod:`su6lab.algebra` builds the su(2), su(3) and su(6) generator
   bases, their structure constants, adjoint matrices and exponentials.
-* :mod:`su6lab.state` holds six-mode coherent states and maps them to
-  points on the named observable spheres and the skyrmion torus.
+* :mod:`su6lab.state` holds six-mode coherent states, maps them to
+  points on the named observable spheres and the skyrmion torus, and
+  names their texture family.
 * :mod:`su6lab.optics` simulates a two-arm polarization/vortex bench
   described by a small text format, including parameter sweeps.
 * :mod:`su6lab.field` synthesizes transverse Stokes fields, maps them
@@ -23,13 +24,12 @@ _EXPORTS = {
     "algebra": ("adjoint_matrices", "antiskyrmion_generators", "exp_adjoint",
                 "exp_generator", "gell_mann_matrices", "pauli_matrices",
                 "skyrmion_generators", "structure_constants", "su6_basis"),
-    "field": ("TopologicalCharge", "TransverseGrid", "classify_texture",
-              "lg_mode", "skyrmion_number", "skyrmion_number_solid_angle",
-              "soup_bubble", "stokes_fields", "synthesize",
-              "topological_charge"),
+    "field": ("TopologicalCharge", "TransverseGrid", "lg_mode",
+              "skyrmion_number", "skyrmion_number_solid_angle", "soup_bubble",
+              "stokes_fields", "synthesize", "topological_charge"),
     "optics": ("BenchParseError", "parse_bench", "run_bench", "run_sweep",
                "serialize_bench", "shipped_bench_path"),
-    "state": ("CoherentState", "named_state"),
+    "state": ("CoherentState", "classify_texture", "named_state"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -25,6 +25,13 @@ import numpy as np
 
 BASIS_VERSION = "su6-spin3-oam8-coupled24-v1"
 
+# bounds on the invariant residuals, shared by the verify table and the
+# checks that guard the structure constants, so a basis that fails one
+# fails the other
+HERMITICITY_TOL = 1e-12
+GRAM_TOL = 1e-12
+CLOSURE_TOL = 1e-10
+
 _PAULI = np.array(
     [
         [[0, 1], [1, 0]],
@@ -109,15 +116,15 @@ def su6_basis() -> GeneratorBasis:
     return GeneratorBasis(matrices=arr, labels=tuple(labels))
 
 
-def _check_hermitian(m: np.ndarray, what: str, tol: float = 1e-12) -> None:
-    resid = float(np.max(np.abs(m - m.conj().T)))
-    if not resid <= tol:  # NaN fails too
-        raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
-
-
 def _hermiticity(mats: np.ndarray) -> np.ndarray:
     """Per-generator max |b - b^dag|."""
     return np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)), axis=(1, 2))
+
+
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    resid = float(_hermiticity(m[None])[0])
+    if not resid <= HERMITICITY_TOL:  # NaN fails too
+        raise ValueError(f"{what} is not Hermitian (residual {resid:.3e})")
 
 
 def _gram_deviation(mats: np.ndarray) -> np.ndarray:
@@ -177,10 +184,10 @@ def invariant_residuals(basis: GeneratorBasis | None = None,
     mats = np.asarray(basis.matrices)
     labels = basis.labels
     rows = [
-        ("hermiticity", float(np.max(_hermiticity(mats))), 1e-12),
+        ("hermiticity", float(np.max(_hermiticity(mats))), HERMITICITY_TOL),
         ("tracelessness",
          float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))), 1e-12),
-        ("trace_orthonormality", float(np.max(_gram_deviation(mats))), 1e-12),
+        ("trace_orthonormality", float(np.max(_gram_deviation(mats))), GRAM_TOL),
     ]
     sizes = (
         sum(1 for l in labels if l.startswith("s") and "o" not in l),
@@ -190,7 +197,7 @@ def invariant_residuals(basis: GeneratorBasis | None = None,
     rows.append(("family_sizes_3_8_24", float(sizes != (3, 8, 24)), 0.5))
 
     g_full, closure = _structure_tensor(mats)
-    rows.append(("commutator_closure", closure, 1e-10))
+    rows.append(("commutator_closure", closure, CLOSURE_TOL))
     g = g_full.real
     rows.append(("antisymmetry",
                  float(np.max(np.abs(g + g.transpose(1, 0, 2)))), 1e-12))
@@ -222,14 +229,14 @@ def structure_constants(basis: GeneratorBasis | None = None) -> np.ndarray:
     mats = np.asarray(basis.matrices)
     # every check is "not resid <= tol", so a NaN residual fails it
     herm = _hermiticity(mats)
-    if not np.all(herm <= 1e-12):
+    if not np.all(herm <= HERMITICITY_TOL):
         bad = int(np.argmax(herm))
         raise ValueError(
             f"generator {basis.labels[bad]!r} is not Hermitian "
             f"(residual {herm[bad]:.3e})"
         )
     dev = _gram_deviation(mats)
-    if not np.max(dev) <= 1e-10:
+    if not np.max(dev) <= GRAM_TOL:
         a, b = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise ValueError(
             "basis is not trace-orthonormal: tr(b_l b_m) != 2 delta for pair "
@@ -239,9 +246,9 @@ def structure_constants(basis: GeneratorBasis | None = None) -> np.ndarray:
     g, resid = _structure_tensor(mats)
     if not np.max(np.abs(g.imag)) <= 1e-12:
         raise RuntimeError("structure constants acquired an imaginary part")
-    if not resid <= 1e-10:
+    if not resid <= CLOSURE_TOL:
         raise RuntimeError(
-            f"commutator closure failed (residual {resid:.3e} > 1.0e-10); "
+            f"commutator closure failed (residual {resid:.3e} > {CLOSURE_TOL:.1e}); "
             "the supplied basis does not span a closed algebra"
         )
     g = np.ascontiguousarray(g.real)

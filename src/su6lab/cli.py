@@ -235,11 +235,12 @@ def cmd_algebra_export(args) -> int:
     entries = serialize.g_tensor_entries(g)
     _write_file(args, files, "g_tensor.json", serialize.json_text({
         "version": basis.version,
-        "noise_cutoff": 1e-14,
+        "noise_cutoff": serialize.NOISE_CUTOFF,
         "entries": entries,
-    }), noise_cutoff=1e-14)
+    }), noise_cutoff=serialize.NOISE_CUTOFF)
     _write_file(args, files, "g_tensor.csv", serialize.g_tensor_csv(g),
-                columns=["l", "m", "n", "value"], noise_cutoff=1e-14)
+                columns=["l", "m", "n", "value"],
+                noise_cutoff=serialize.NOISE_CUTOFF)
     _write_file(args, files, "adjoint.json", serialize.json_text({
         "version": adj.version,
         "closure_constant": adj.closure_constant,
@@ -303,12 +304,12 @@ def _load_bench(token: str) -> optics.BenchDescription:
 
 
 def cmd_bench_run(args) -> int:
-    from . import field, optics
+    from . import optics
 
     bench = _load_bench(args.bench)
     out_state = optics.run_bench(
         bench, input_state=_resolve_state(bench.input_state, "bench input"))
-    label = field.classify_texture(out_state, tol_deg=args.tolerance or 1.0)
+    label = st.classify_texture(out_state, tol_deg=args.tolerance or 1.0)
     obj = {
         "command": "bench run",
         "bench": bench.name,
@@ -328,14 +329,14 @@ def cmd_bench_run(args) -> int:
 
 
 def cmd_bench_sweep(args) -> int:
-    from . import field, optics
+    from . import optics
 
     bench = _load_bench(args.bench)
     result = optics.run_sweep(
         bench, sweep=args.element,
         input_state=_resolve_state(bench.input_state, "bench input"))
     tol_deg = args.tolerance or 1.0
-    labels = [field.classify_texture(f, tol_deg=tol_deg) for f in result.frames]
+    labels = [st.classify_texture(f, tol_deg=tol_deg) for f in result.frames]
     files = []
     _write_file(
         args, files, "trajectory.csv",
@@ -350,6 +351,8 @@ def cmd_bench_sweep(args) -> int:
     )
 
     if args.fields:
+        from . import field
+
         grid = field.TransverseGrid(size=args.grid, extent=args.extent)
         for k, frame in enumerate(result.frames):
             e_left, e_right = field.synthesize(frame, grid, waist=args.waist)

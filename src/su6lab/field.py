@@ -50,12 +50,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .state import (
-    CoherentState,
-    antiskyrmion_sphere,
-    skyrmion_sphere,
-    state_to_torus,
-)
+# classify_texture reads the state spheres and the torus, so it lives in
+# state; the name stays here for callers that address it as a field name
+from .state import CoherentState, classify_texture
 
 __all__ = [
     "SpinTextureMap",
@@ -180,18 +177,25 @@ def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
     # waist.  exp(-i phi) is the conjugate of exp(i phi) bit for bit, so
     # one complex exp serves both vortices; conjugating the finished
     # m = +1 mode instead would flip the sign of its zero imaginary parts
-    if not waist > 0:
-        raise ValueError(f"waist must be positive, got {waist}")
-    envelope = np.exp(-((grid.rr / waist) ** 2))
-    ring = (np.sqrt(2.0) * grid.rr / waist) * envelope
+    if not 0 < waist < np.inf:
+        raise ValueError(f"waist must be positive and finite, got {waist}")
+    # a waist far below the pixel pitch overflows (r / w)^2; the norm
+    # check below refuses it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-((grid.rr / waist) ** 2))
+        ring = (np.sqrt(2.0) * grid.rr / waist) * envelope
     phase = np.exp(1j * grid.phi)
     plus = ring * phase
     minus = ring * np.conj(phase)
     # |plus| equals |minus| pixel by pixel, so they share the norm
     scale = np.sqrt(np.sum(np.abs(plus) ** 2) * grid.area)
     zero = envelope.astype(complex)
-    stack = (plus / scale, minus / scale,
-             zero / np.sqrt(np.sum(np.abs(zero) ** 2) * grid.area))
+    zero_scale = np.sqrt(np.sum(np.abs(zero) ** 2) * grid.area)
+    if not (0 < scale < np.inf and 0 < zero_scale < np.inf):  # NaN fails too
+        raise ValueError(
+            f"waist {waist} gives a mode of zero or non-finite norm on the "
+            f"grid of size {grid.size} and extent {grid.extent}")
+    stack = (plus / scale, minus / scale, zero / zero_scale)
     for u in stack:
         u.setflags(write=False)
     return stack
@@ -426,6 +430,13 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     )
 
 
+def _disk_radius(r) -> float:
+    r = float(r)
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError(f"disk radius must be positive and finite, got {r}")
+    return r
+
+
 def topological_charge(
     sf: StokesField, disk_radius: float | None = None
 ) -> TopologicalCharge:
@@ -435,7 +446,7 @@ def topological_charge(
     The pass runs once per field and disk radius; the report is kept on
     the field.  A refused charge raises ValueError on every call.
     """
-    r = float(sf.grid.extent if disk_radius is None else disk_radius)
+    r = _disk_radius(sf.grid.extent if disk_radius is None else disk_radius)
     report = sf._charges.get(r)
     if report is None:
         report = sf._charges[r] = _closed_texture(sf, r)
@@ -459,7 +470,7 @@ def skyrmion_number_solid_angle(
 
 def radial_to_polar(r, disk_radius: float, profile: str = "linear"):
     """Map disk radius to sphere polar angle; 'linear' or 'area'."""
-    x = np.clip(np.asarray(r, dtype=float) / disk_radius, 0.0, 1.0)
+    x = np.clip(np.asarray(r, dtype=float) / _disk_radius(disk_radius), 0.0, 1.0)
     if profile == "linear":
         theta = np.pi * x
     elif profile == "area":
@@ -485,8 +496,7 @@ def soup_bubble(
     it; bins no pixel reached have a zero vector and count 0.
     """
     grid = sf.grid
-    if disk_radius is None:
-        disk_radius = grid.extent
+    disk_radius = _disk_radius(grid.extent if disk_radius is None else disk_radius)
     if disk_radius > grid.extent + 1e-12:
         raise ValueError(
             f"disk radius {disk_radius} exceeds the grid extent {grid.extent}"
@@ -515,75 +525,7 @@ def soup_bubble(
     return SpinTextureMap(
         vectors=vectors.reshape(n_theta, n_phi, 3),
         counts=counts.reshape(n_theta, n_phi),
-        disk_radius=float(disk_radius),
+        disk_radius=disk_radius,
         profile=profile,
         bins=(n_theta, n_phi),
     )
-
-
-# ------------------------------------------------------------ classification
-
-_SKYRMION_CARDINALS = (
-    (np.array([1.0, 0.0, 0.0]), "neel_out"),
-    (np.array([-1.0, 0.0, 0.0]), "neel_in"),
-    (np.array([0.0, 1.0, 0.0]), "bloch_left"),
-    (np.array([0.0, -1.0, 0.0]), "bloch_right"),
-)
-_ANTISKYRMION_CARDINALS = (
-    (np.array([1.0, 0.0, 0.0]), "antiskyrmion_h"),
-    (np.array([-1.0, 0.0, 0.0]), "antiskyrmion_v"),
-)
-
-
-def _wrap_angle(x: float) -> float:
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _pair_label(coords, cardinals, tol: float) -> str:
-    r = np.linalg.norm(coords)
-    if r < 1e-12:
-        return "intermediate"
-    u = np.asarray(coords) / r
-    for target, label in cardinals:
-        if np.arccos(np.clip(u @ target, -1.0, 1.0)) <= tol:
-            return label
-    polar = np.arccos(np.clip(u[2], -1.0, 1.0))
-    if polar <= tol or polar >= np.pi - tol:
-        return "pole"
-    return "intermediate"
-
-
-def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
-    """Name the texture of a state in the span of basis states 3, 4, 5.
-
-    Labels: the four named skyrmion textures, the two named
-    antiskyrmion orientations, dipolar, antidipolar, "pole" for states
-    at a pair-sphere pole, "intermediate" for anything else inside the
-    span, and "other" outside it.  Named labels require the sphere or
-    torus coordinates to lie within tol_deg of the exact point.
-    """
-    tol = np.deg2rad(tol_deg)
-    weights = np.abs(state.alpha) ** 2
-    if weights[0] + weights[1] + weights[5] > 1e-9:
-        return "other"
-    if weights[4] <= 1e-9:
-        return _pair_label(skyrmion_sphere(state).coords, _SKYRMION_CARDINALS, tol)
-    if weights[3] <= 1e-9:
-        return _pair_label(
-            antiskyrmion_sphere(state).coords, _ANTISKYRMION_CARDINALS, tol
-        )
-    try:
-        tp = state_to_torus(state, tol=1e-6)
-    except ValueError:
-        return "intermediate"
-    if (
-        abs(_wrap_angle(tp.theta_p - np.pi / 2)) <= tol
-        and abs(_wrap_angle(tp.phi_t)) <= tol
-    ):
-        return "dipolar"
-    if (
-        abs(_wrap_angle(tp.theta_p - 3 * np.pi / 2)) <= tol
-        and abs(_wrap_angle(tp.phi_t - np.pi)) <= tol
-    ):
-        return "antidipolar"
-    return "intermediate"

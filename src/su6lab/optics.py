@@ -20,10 +20,13 @@ either an explicit ``id=`` attribute or an automatic one built from the
 kind's id prefix and the (1-based) ordinal of that kind within the file,
 counting pre, arm A, then arm B.
 
-Element kinds and attributes (angles in degrees).  The first token is
-the one ``serialize_bench`` writes, the one in parentheses an accepted
-alias.  The id prefixes are HWP, QWP, PL, M, VL and PH; ``PL`` is only a
-prefix and is refused as a token.
+Element kinds and attributes (angles in degrees).  Each kind is one row
+of ``_KINDS``: its tokens, id prefix, attributes and 6x6 operator.  The
+first token is the one ``serialize_bench`` writes, the one in
+parentheses an accepted alias.  The id prefixes are HWP, QWP, PL, M, VL
+and PH; ``PL`` is only a prefix and is refused as a token.  The
+statements that may appear once (bench, input, split, combine) are the
+rows of ``_ONCE``.
 
 =================  ========================  ================================
 token              attributes                action on the beam
@@ -66,7 +69,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,25 +106,18 @@ RECORD_NAMES = (
 MAX_SWEEP_FRAMES = 100_000
 
 
-class _Kind(NamedTuple):
-    tokens: tuple[str, ...]  # accepted in bench text; the first is emitted
-    prefix: str              # automatic ids are prefix + ordinal
-    attrs: tuple[str, ...]   # attributes besides id, in emitted order
-
-
-# every element kind of the bench format, keyed by OpticalElement.kind;
-# an element with an angle attribute must give it
-_KINDS = {
-    "HWP": _Kind(("HWP",), "HWP", ("angle",)),
-    "QWP": _Kind(("QWP",), "QWP", ("angle",)),
-    "POLARIZER": _Kind(("POLARIZER",), "PL", ("angle",)),
-    "MIRROR": _Kind(("MIRROR", "M"), "M", ()),
-    "VORTEX_LENS": _Kind(("VL", "VORTEX_LENS"), "VL", ("chirality", "flipped")),
-    "PHASE": _Kind(("PHASE", "PH"), "PH", ("angle",)),
-}
-_TOKEN_KIND = {token: kind for kind, row in _KINDS.items() for token in row.tokens}
 _SECTIONS = ("pre", "A", "B")
 _SWEEP_ATTRS = ("element", "from", "to", "step", "record")  # all but record required
+# the statements that appear at most once, by head: (form, message when
+# the statement does not fit the form); a form's group is the value
+_ONCE = {
+    "bench": (r'bench\s+"([^"]*)"', "bench name must be double-quoted"),
+    "input": (r"input\s+state=(\S+)",
+              "input statement must be 'input state=<token>'"),
+    "split": (r"split\s+PBS", "splitter must be PBS"),
+    "combine": (r"combine\s+NPBS\s+reflect=(\S+)",
+                "combine statement must be 'combine NPBS reflect=<A|B>'"),
+}
 
 
 @dataclass(frozen=True)
@@ -248,6 +244,46 @@ _PROJ_H6 = _lift_spin(np.array([[1, 0], [0, 0]], dtype=complex))
 _PROJ_V6 = _lift_spin(np.array([[0, 0], [0, 1]], dtype=complex))
 
 
+def _jones(matrix: Callable[[float], np.ndarray]):
+    # the operator of a linear-basis Jones matrix at the element's angle
+    return lambda e: _lift_spin(matrix(np.deg2rad(e.angle)))
+
+
+def _vortex_lens(e: OpticalElement) -> np.ndarray:
+    chirality = e.chirality
+    if chirality not in ("L", "R"):
+        raise ValueError(f"chirality must be L or R, got {chirality!r}")
+    if e.flipped:
+        chirality = "L" if chirality == "R" else "R"
+    return _VORTEX_R.copy() if chirality == "R" else _VORTEX_R.T.copy()
+
+
+def _phase(e: OpticalElement) -> np.ndarray:
+    return np.exp(1j * np.deg2rad(e.angle)) * np.eye(6, dtype=complex)
+
+
+class _Kind(NamedTuple):
+    tokens: tuple[str, ...]  # accepted in bench text; the first is emitted
+    prefix: str              # automatic ids are prefix + ordinal
+    attrs: tuple[str, ...]   # attributes besides id, in emitted order
+    operator: Callable[[OpticalElement], np.ndarray]  # 6x6, circular basis
+
+
+# every element kind of the bench format, keyed by OpticalElement.kind;
+# an element with an angle attribute must give it
+_KINDS = {
+    "HWP": _Kind(("HWP",), "HWP", ("angle",), _jones(_jones_half_wave)),
+    "QWP": _Kind(("QWP",), "QWP", ("angle",), _jones(_jones_quarter_wave)),
+    "POLARIZER": _Kind(("POLARIZER",), "PL", ("angle",),
+                       _jones(_jones_polarizer)),
+    "MIRROR": _Kind(("MIRROR", "M"), "M", (), lambda e: _MIRROR6.copy()),
+    "VORTEX_LENS": _Kind(("VL", "VORTEX_LENS"), "VL", ("chirality", "flipped"),
+                         _vortex_lens),
+    "PHASE": _Kind(("PHASE", "PH"), "PH", ("angle",), _phase),
+}
+_TOKEN_KIND = {token: kind for kind, row in _KINDS.items() for token in row.tokens}
+
+
 def element_operator(element: OpticalElement) -> np.ndarray:
     """6x6 matrix of a single-arm element in the circular amplitude basis.
 
@@ -255,28 +291,13 @@ def element_operator(element: OpticalElement) -> np.ndarray:
     supported kind is unitary.  PBS and NPBS are two-port devices handled
     by run_bench and have no single-arm operator.
     """
-    kind = element.kind
-    theta = np.deg2rad(element.angle)
-    if kind == "HWP":
-        return _lift_spin(_jones_half_wave(theta))
-    if kind == "QWP":
-        return _lift_spin(_jones_quarter_wave(theta))
-    if kind == "POLARIZER":
-        return _lift_spin(_jones_polarizer(theta))
-    if kind == "MIRROR":
-        return _MIRROR6.copy()
-    if kind == "VORTEX_LENS":
-        chirality = element.chirality
-        if chirality not in ("L", "R"):
-            raise ValueError(f"chirality must be L or R, got {chirality!r}")
-        if element.flipped:
-            chirality = "L" if chirality == "R" else "R"
-        return _VORTEX_R.copy() if chirality == "R" else _VORTEX_R.T.copy()
-    if kind == "PHASE":
-        return np.exp(1j * theta) * np.eye(6, dtype=complex)
-    if kind in ("PBS", "NPBS"):
-        raise ValueError(f"{kind} is a two-port device with no single-arm operator")
-    raise ValueError(f"unknown element kind {kind!r}")
+    row = _KINDS.get(element.kind)
+    if row is not None:
+        return row.operator(element)
+    if element.kind in ("PBS", "NPBS"):
+        raise ValueError(
+            f"{element.kind} is a two-port device with no single-arm operator")
+    raise ValueError(f"unknown element kind {element.kind!r}")
 
 
 # ----------------------------------------------------------------- parsing
@@ -375,13 +396,10 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
     if not stmts:
         raise BenchParseError("empty bench file", source, 1)
 
-    name = None
-    input_state = None
+    lines: dict[str, int] = {}   # once-only statement head -> its line
+    values: dict[str, str] = {}  # head -> the value its form captures
     placed: list[tuple[str, int, OpticalElement]] = []  # (section, line, element)
     first_arm_line = None
-    split_line = None
-    combine_line = None
-    reflect = "B"
     sweeps_raw: list[tuple[int, dict[str, str]]] = []
 
     for idx, (line, stmt) in enumerate(stmts):
@@ -390,24 +408,20 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
             raise BenchParseError(
                 "file must start with a bench statement", source, line
             )
-        if head == "bench":
-            if name is not None:
-                raise BenchParseError("duplicate bench statement", source, line)
-            m = re.fullmatch(r'bench\s+"([^"]*)"', stmt)
+        if head in _ONCE:
+            if head in lines:
+                raise BenchParseError(f"duplicate {head} statement", source, line)
+            form, message = _ONCE[head]
+            m = re.fullmatch(form, stmt)
             if m is None:
+                raise BenchParseError(message, source, line)
+            if m.re.groups:
+                values[head] = m.group(1)
+            if head == "combine" and values[head] not in ("A", "B"):
                 raise BenchParseError(
-                    "bench name must be double-quoted", source, line
+                    f"reflect must be A or B, got {values[head]!r}", source, line
                 )
-            name = m.group(1)
-        elif head == "input":
-            if input_state is not None:
-                raise BenchParseError("duplicate input statement", source, line)
-            m = re.fullmatch(r"input\s+state=(\S+)", stmt)
-            if m is None:
-                raise BenchParseError(
-                    "input statement must be 'input state=<token>'", source, line
-                )
-            input_state = m.group(1)
+            lines[head] = line
         elif m := re.fullmatch(r"(?:pre|arm\s+([AB]))\s*:\s*(.*)", stmt, re.S):
             section = m.group(1) or "pre"
             if section != "pre" and first_arm_line is None:
@@ -419,35 +433,13 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
             raise BenchParseError(
                 "arm statement must be 'arm A: ...' or 'arm B: ...'", source, line
             )
-        elif head == "split":
-            if split_line is not None:
-                raise BenchParseError("duplicate split statement", source, line)
-            if not re.fullmatch(r"split\s+PBS", stmt):
-                raise BenchParseError("splitter must be PBS", source, line)
-            split_line = line
-        elif head == "combine":
-            if combine_line is not None:
-                raise BenchParseError("duplicate combine statement", source, line)
-            m = re.fullmatch(r"combine\s+NPBS\s+reflect=(\S+)", stmt)
-            if m is None:
-                raise BenchParseError(
-                    "combine statement must be 'combine NPBS reflect=<A|B>'",
-                    source,
-                    line,
-                )
-            if m.group(1) not in ("A", "B"):
-                raise BenchParseError(
-                    f"reflect must be A or B, got {m.group(1)!r}", source, line
-                )
-            combine_line = line
-            reflect = m.group(1)
         elif head == "sweep":
             attrs = _parse_keyvals(stmt.split()[1:], "sweep", source, line)
             sweeps_raw.append((line, attrs))
         else:
             raise BenchParseError(f"unknown statement {head!r}", source, line)
 
-    if input_state is None:
+    if "input" not in values:
         raise BenchParseError("missing input statement", source, stmts[-1][0])
 
     # automatic ids count each kind over pre, arm A, then arm B
@@ -466,6 +458,7 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
             )
         kind_of[e.element_id] = e.kind
 
+    split_line, combine_line = lines.get("split"), lines.get("combine")
     if first_arm_line is not None and split_line is None:
         raise BenchParseError(
             "arm elements without a split statement", source, first_arm_line
@@ -535,13 +528,13 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
         return tuple(e for s, _, e in placed if s == key)
 
     return BenchDescription(
-        name=name,
-        input_state=input_state,
+        name=values["bench"],
+        input_state=values["input"],
         pre=section("pre"),
         arm_a=section("A"),
         arm_b=section("B"),
         split=split_line is not None,
-        reflect=reflect,
+        reflect=values.get("combine", "B"),
         sweeps=tuple(sweeps),
     )
 

@@ -31,6 +31,7 @@ from .state import (
 )
 
 __all__ = [
+    "NOISE_CUTOFF",
     "field_csv",
     "format_float",
     "g_tensor_csv",
@@ -48,6 +49,9 @@ __all__ = [
 
 
 _BLOCK_CELLS = 1 << 16
+# |g| at or below this is cancellation noise of the trace arithmetic, not
+# a structure constant; the algebra export writes the value in its files
+NOISE_CUTOFF = 1e-14
 
 
 def format_float(value) -> str:
@@ -210,12 +214,11 @@ def load_state(path: str) -> CoherentState:
 # ----------------------------------------------------------------- algebra
 
 
-def g_tensor_entries(g: np.ndarray, cutoff: float = 1e-14) -> np.ndarray:
-    """Nonzero entries as (l, m, n, value) rows of a float array, indices
-    1-based and in index order; entries below the cutoff are cancellation
-    noise of the trace arithmetic, not values.  The indices print as
+def g_tensor_entries(g: np.ndarray) -> np.ndarray:
+    """Entries above NOISE_CUTOFF as (l, m, n, value) rows of a float
+    array, indices 1-based and in index order.  The indices print as
     integers in CSV and JSON alike."""
-    index = np.nonzero(np.abs(g) > cutoff)
+    index = np.nonzero(np.abs(g) > NOISE_CUTOFF)
     return np.column_stack([*(i + 1.0 for i in index), g[index]])
 
 

@@ -5,7 +5,9 @@ with a mean photon number N0 fixes every generator expectation
 A_l = hbar * N0 * alpha^dag b_l alpha.  The 35-component vector A always has
 length hbar * N0 * sqrt(5/3); two- and three-mode slices of it live on the
 named spheres (skyrmion, antiskyrmion, orbital chirality, polarization) and
-on the skyrmion torus handled here.
+on the skyrmion torus handled here.  ``classify_texture`` names the
+texture family of a state from its point on the skyrmion and antiskyrmion
+spheres or on the torus.
 """
 from __future__ import annotations
 
@@ -292,6 +294,74 @@ def state_to_torus(state: CoherentState, tol: float = 1e-8) -> TorusPoint:
     phi_t = float(np.angle(c * np.conj(a[2])))
     return TorusPoint(theta_p=theta_p, phi_t=phi_t,
                       poloidal_radius=state.scale * float(np.hypot(l1, l3)))
+
+
+# ------------------------------------------------------------ texture labels
+
+# named points of the two pair spheres, as unit coordinates
+_SKYRMION_CARDINALS = (
+    (np.array([1.0, 0.0, 0.0]), "neel_out"),
+    (np.array([-1.0, 0.0, 0.0]), "neel_in"),
+    (np.array([0.0, 1.0, 0.0]), "bloch_left"),
+    (np.array([0.0, -1.0, 0.0]), "bloch_right"),
+)
+_ANTISKYRMION_CARDINALS = (
+    (np.array([1.0, 0.0, 0.0]), "antiskyrmion_h"),
+    (np.array([-1.0, 0.0, 0.0]), "antiskyrmion_v"),
+)
+# named points of the torus: (label, theta_p, phi_t)
+_TORUS_CARDINALS = (
+    ("dipolar", np.pi / 2, 0.0),
+    ("antidipolar", 3 * np.pi / 2, np.pi),
+)
+
+
+def _wrap_angle(x: float) -> float:
+    return (x + np.pi) % _TWO_PI - np.pi
+
+
+def _pair_label(coords, cardinals, tol: float) -> str:
+    r = np.linalg.norm(coords)
+    if r < 1e-12:
+        return "intermediate"
+    u = np.asarray(coords) / r
+    for target, label in cardinals:
+        if np.arccos(np.clip(u @ target, -1.0, 1.0)) <= tol:
+            return label
+    polar = np.arccos(np.clip(u[2], -1.0, 1.0))
+    if polar <= tol or polar >= np.pi - tol:
+        return "pole"
+    return "intermediate"
+
+
+def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
+    """Name the texture of a state in the span of basis states 3, 4, 5.
+
+    Labels: the four named skyrmion textures, the two named
+    antiskyrmion orientations, dipolar, antidipolar, "pole" for states
+    at a pair-sphere pole, "intermediate" for anything else inside the
+    span, and "other" outside it.  Named labels require the sphere or
+    torus coordinates to lie within tol_deg of the exact point.
+    """
+    tol = np.deg2rad(tol_deg)
+    weights = np.abs(state.alpha) ** 2
+    if weights[0] + weights[1] + weights[5] > 1e-9:
+        return "other"
+    if weights[4] <= 1e-9:
+        return _pair_label(skyrmion_sphere(state).coords, _SKYRMION_CARDINALS, tol)
+    if weights[3] <= 1e-9:
+        return _pair_label(
+            antiskyrmion_sphere(state).coords, _ANTISKYRMION_CARDINALS, tol
+        )
+    try:
+        tp = state_to_torus(state, tol=1e-6)
+    except ValueError:
+        return "intermediate"
+    for label, theta_p, phi_t in _TORUS_CARDINALS:
+        if (abs(_wrap_angle(tp.theta_p - theta_p)) <= tol
+                and abs(_wrap_angle(tp.phi_t - phi_t)) <= tol):
+            return label
+    return "intermediate"
 
 
 _SUBSPHERE_TABLE: tuple[tuple[str, tuple[int, int], str], ...] = (

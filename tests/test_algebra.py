@@ -332,3 +332,30 @@ def test_double_cover_of_pair_rotations():
     assert np.max(np.abs(one_turn - (np.eye(6) - 2 * p))) < 1e-12
     two_turns = alg.exp_generator(gen, 4 * np.pi)
     assert np.max(np.abs(two_turns - np.eye(6))) < 1e-12
+
+
+def test_one_gram_bound_for_verify_and_structure_constants():
+    # a Gram deviation of 4e-11 is above the printed 1e-12 bound, so the
+    # verify table fails it and structure_constants refuses it too
+    basis = alg.su6_basis()
+    mats = basis.matrices.copy()
+    mats[0] = mats[0] * (1 + 1e-11)
+    scaled = alg.GeneratorBasis(matrices=mats, labels=basis.labels)
+    rows = {name: (resid, tol) for name, resid, tol in
+            alg.invariant_residuals(scaled)}
+    resid, tol = rows["trace_orthonormality"]
+    assert resid == pytest.approx(4e-11, rel=1e-3)
+    assert tol == alg.GRAM_TOL == 1e-12 and not resid <= tol
+    with pytest.raises(ValueError, match=r"pair \('s1', 's1'\), residual 4\.0"):
+        alg.structure_constants(scaled)
+
+
+def test_check_hermitian_reads_the_shared_residual_and_bound():
+    m = np.zeros((6, 6), dtype=complex)
+    m[0, 1] = 3e-12
+    resid = float(alg._hermiticity(m[None])[0])
+    assert resid == 3e-12
+    with pytest.raises(ValueError, match=f"residual {resid:.3e}"):
+        alg._check_hermitian(m, "matrix")
+    m[0, 1] = 1e-12
+    alg._check_hermitian(m, "matrix")  # at the bound: accepted

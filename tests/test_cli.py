@@ -448,3 +448,30 @@ def test_package_resolves_every_public_name():
     assert proc.stdout.strip() == "[]"
     with pytest.raises(AttributeError, match="no_such_name"):
         su6lab.no_such_name
+
+
+def test_bench_commands_load_field_only_for_sweep_fields(tmp_path):
+    # texture labels come from state, so a bench command compiles field
+    # only to render the frames of ``bench sweep --fields``
+    code = ("import sys; from su6lab.cli import main; out = sys.argv[1]; "
+            "runs = [['bench', 'run', '--bench', 'fig1'], "
+            "['bench', 'sweep', '--bench', 'fig1', '--element', 'HWP1'], "
+            "['bench', 'sweep', '--bench', 'fig1', '--element', 'HWP1', "
+            "'--fields', '--grid', '32']]; "
+            "print([(main(argv + ['--out', out]), 'su6lab.field' in sys.modules) "
+            "for argv in runs])")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False), (0, True)]"
+
+
+def test_g_tensor_files_carry_the_one_noise_cutoff(tmp_path):
+    assert main(["algebra", "export", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "g_tensor.json").read_text())
+    assert doc["noise_cutoff"] == ser.NOISE_CUTOFF == 1e-14
+    for name in ("g_tensor.json", "g_tensor.csv"):
+        sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+        assert sidecar["noise_cutoff"] == ser.NOISE_CUTOFF
+    g = alg.structure_constants()
+    assert len(doc["entries"]) == int((np.abs(g) > ser.NOISE_CUTOFF).sum())

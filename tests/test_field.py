@@ -8,6 +8,8 @@ against closed-form radial formulas evaluated per pixel.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -686,3 +688,45 @@ def test_classify_bench_output_families():
     assert fd.classify_texture(op.run_bench(anti)) == "antiskyrmion_h"
     quarter = op.run_sweep(fig1, "HWP3").frames[9]
     assert fd.classify_texture(quarter) == "neel_in"
+
+
+# ------------------------------------------------------------ boundaries
+
+
+@pytest.mark.parametrize("waist", [np.inf, 1e200, 1e-200])
+def test_waist_with_no_finite_modes_is_refused(waist):
+    # inf is not a waist; 1e200 underflows the vortex ring to zero norm
+    # and 1e-200 overflows r / w, so both would give all-NaN modes
+    g = fd.TransverseGrid(size=64, extent=3.0)
+    expected = ("waist must be positive and finite, got inf" if waist == np.inf
+                else f"waist {waist} gives a mode of zero or non-finite norm "
+                     "on the grid of size 64 and extent 3.0")
+    for m in (1, -1, 0):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            fd.lg_mode(g, m, waist=waist)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        fd.synthesize(st.named_state("neel_out"), g, waist=waist)
+
+
+@pytest.mark.parametrize("radius", [np.nan, -1.0, 0.0, np.inf])
+def test_disk_radius_must_be_positive_and_finite(radius, passes):
+    sf = stokes_for("neel_out", fd.TransverseGrid(size=64, extent=3.0))
+    message = re.escape(f"disk radius must be positive and finite, got {radius}")
+    for call in (lambda: fd.soup_bubble(sf, disk_radius=radius),
+                 lambda: fd.radial_to_polar(0.0, radius),
+                 lambda: fd.topological_charge(sf, radius),
+                 lambda: fd.skyrmion_number(sf, radius)):
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert passes == []
+    assert sf._charges == {}
+
+
+def test_disk_missing_every_pixel_keeps_its_message(passes):
+    sf = stokes_for("neel_out", fd.TransverseGrid(size=64, extent=3.0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="contains no grid pixels"):
+            fd.topological_charge(sf, 0.01)
+    assert passes == [0.01, 0.01]
+    assert fd.soup_bubble(sf, disk_radius=0.01).counts.sum() == 0

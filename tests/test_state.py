@@ -413,3 +413,13 @@ def test_subsphere_point_on_conjugate_skyrmion_pair():
     a[1] = a[5] = 1 / R2
     pt = st.subsphere_point(st.CoherentState(a), (2, 6))
     assert np.allclose(pt.coords, (1, 0, 0), atol=1e-14)
+
+
+def test_texture_labels_live_in_state():
+    from su6lab import field
+
+    assert field.classify_texture is st.classify_texture
+    assert st.classify_texture.__module__ == "su6lab.state"
+    assert st.classify_texture(st.named_state("neel_out")) == "neel_out"
+    assert st.classify_texture(st.torus_state(3 * np.pi / 2, np.pi)) \
+        == "antidipolar"
