@@ -52,7 +52,7 @@ import numpy as np
 
 # classify_texture reads the state spheres and the torus, so it lives in
 # state; the name stays here for callers that address it as a field name
-from .state import CoherentState, classify_texture
+from .state import CoherentState, classify_texture, positive_finite
 
 __all__ = [
     "SpinTextureMap",
@@ -85,9 +85,7 @@ class TransverseGrid:
     def __post_init__(self):
         if int(self.size) != self.size or self.size < MIN_GRID:
             raise ValueError(f"size must be an integer >= {MIN_GRID}, got {self.size}")
-        if not 0 < self.extent < np.inf:
-            raise ValueError(
-                f"extent must be positive and finite, got {self.extent}")
+        positive_finite("extent", self.extent)
 
     @property
     def spacing(self) -> float:
@@ -177,8 +175,7 @@ def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
     # waist.  exp(-i phi) is the conjugate of exp(i phi) bit for bit, so
     # one complex exp serves both vortices; conjugating the finished
     # m = +1 mode instead would flip the sign of its zero imaginary parts
-    if not 0 < waist < np.inf:
-        raise ValueError(f"waist must be positive and finite, got {waist}")
+    positive_finite("waist", waist)
     # a waist far below the pixel pitch overflows (r / w)^2; the norm
     # check below refuses it, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -430,13 +427,6 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     )
 
 
-def _disk_radius(r) -> float:
-    r = float(r)
-    if not 0 < r < np.inf:  # NaN fails too
-        raise ValueError(f"disk radius must be positive and finite, got {r}")
-    return r
-
-
 def topological_charge(
     sf: StokesField, disk_radius: float | None = None
 ) -> TopologicalCharge:
@@ -446,7 +436,8 @@ def topological_charge(
     The pass runs once per field and disk radius; the report is kept on
     the field.  A refused charge raises ValueError on every call.
     """
-    r = _disk_radius(sf.grid.extent if disk_radius is None else disk_radius)
+    r = positive_finite(
+        "disk radius", float(sf.grid.extent if disk_radius is None else disk_radius))
     report = sf._charges.get(r)
     if report is None:
         report = sf._charges[r] = _closed_texture(sf, r)
@@ -470,7 +461,8 @@ def skyrmion_number_solid_angle(
 
 def radial_to_polar(r, disk_radius: float, profile: str = "linear"):
     """Map disk radius to sphere polar angle; 'linear' or 'area'."""
-    x = np.clip(np.asarray(r, dtype=float) / _disk_radius(disk_radius), 0.0, 1.0)
+    x = np.asarray(r, dtype=float) / positive_finite("disk radius", float(disk_radius))
+    x = np.clip(x, 0.0, 1.0)
     if profile == "linear":
         theta = np.pi * x
     elif profile == "area":
@@ -496,7 +488,8 @@ def soup_bubble(
     it; bins no pixel reached have a zero vector and count 0.
     """
     grid = sf.grid
-    disk_radius = _disk_radius(grid.extent if disk_radius is None else disk_radius)
+    disk_radius = positive_finite(
+        "disk radius", float(grid.extent if disk_radius is None else disk_radius))
     if disk_radius > grid.extent + 1e-12:
         raise ValueError(
             f"disk radius {disk_radius} exceeds the grid extent {grid.extent}"

@@ -47,12 +47,16 @@ PHASE (PH)         angle (or phase)          uniform phase factor
                                              exp(i*angle)
 =================  ========================  ================================
 
-A sweep names an element with an angle (HWP, QWP, POLARIZER or PHASE).
-Its ``record=`` is a comma list of RECORD_NAMES.  It is validated and
-echoed into the trajectory sidecar, but it selects no output: the CLI's
-``bench sweep --fields`` is what writes the field frames.  A sweep builds
-each fixed element operator once and rebuilds only the swept one per
-frame.
+A sweep names an element with an angle (HWP, QWP, POLARIZER or PHASE)
+and steps a whole number of times, at most MAX_SWEEP_FRAMES frames, from
+``from`` to ``to``.  Its ``record=`` is a comma list of RECORD_NAMES,
+validated and echoed into the trajectory sidecar; it selects no output
+(``bench sweep --fields`` writes the field frames).  A sweep builds each
+fixed element operator once and rebuilds only the swept one per frame.
+
+``OpticalElement`` and ``SweepSpec`` refuse values that break these rules
+(and non-finite numbers) when built; ``parse_bench`` re-raises a refusal
+at its line.  A run's input is ``input_state`` or the named input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -73,6 +77,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .serialize import format_float
 from .state import CoherentState, named_state, state_names
 
 __all__ = [
@@ -101,7 +106,7 @@ RECORD_NAMES = (
     "stokes_field",
 )
 
-# largest frame count a parsed sweep may declare; each frame is one bench
+# largest frame count a sweep may declare; each frame is one bench
 # run (and one rendered field with ``--fields``)
 MAX_SWEEP_FRAMES = 100_000
 
@@ -130,6 +135,18 @@ class OpticalElement:
     flipped: bool = False
     element_id: str | None = None
 
+    def __post_init__(self) -> None:
+        row = _KINDS.get(self.kind)
+        if row is None:
+            if self.kind in ("PBS", "NPBS"):
+                raise ValueError(
+                    f"{self.kind} is a two-port device with no single-arm operator")
+            raise ValueError(f"unknown element kind {self.kind!r}")
+        if "chirality" in row.attrs and self.chirality not in ("L", "R"):
+            raise ValueError(f"chirality must be L or R, got {self.chirality!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"element angle must be finite, got {self.angle}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -140,6 +157,25 @@ class SweepSpec:
     stop: float
     step: float
     record: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        bounds = (self.start, self.stop, self.step)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"sweep from, to and step must be finite, got {bounds}")
+        if self.step == 0.0:
+            raise ValueError("sweep step must be nonzero")
+        n = (self.stop - self.start) / self.step
+        if n < -1e-9:
+            raise ValueError("sweep step must point from 'from' toward 'to'")
+        if n >= MAX_SWEEP_FRAMES:
+            raise ValueError(f"sweep has {n + 1:.0f} frames, more than the cap of "
+                             f"{MAX_SWEEP_FRAMES}")
+        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
+            raise ValueError("sweep span is not an integer number of steps")
+        for token in self.record:
+            if token not in RECORD_NAMES:
+                raise ValueError(f"unknown record name {token!r} "
+                                 f"(valid: {', '.join(RECORD_NAMES)})")
 
     @property
     def frame_count(self) -> int:
@@ -180,7 +216,6 @@ class BenchDescription:
 class SweepResult:
     """Frames of a sweep together with the parameter values."""
 
-    bench: BenchDescription
     sweep: SweepSpec
     parameters: np.ndarray
     frames: tuple[CoherentState, ...]
@@ -190,8 +225,6 @@ class BenchParseError(ValueError):
     """Raised for malformed bench text; carries the source line number."""
 
     def __init__(self, message: str, source: str = "<string>", line: int = 0):
-        self.message = message
-        self.source = source
         self.line = line
         super().__init__(f"{source}:{line}: {message}")
 
@@ -250,12 +283,8 @@ def _jones(matrix: Callable[[float], np.ndarray]):
 
 
 def _vortex_lens(e: OpticalElement) -> np.ndarray:
-    chirality = e.chirality
-    if chirality not in ("L", "R"):
-        raise ValueError(f"chirality must be L or R, got {chirality!r}")
-    if e.flipped:
-        chirality = "L" if chirality == "R" else "R"
-    return _VORTEX_R.copy() if chirality == "R" else _VORTEX_R.T.copy()
+    right = (e.chirality == "R") != bool(e.flipped)  # flipped swaps L and R
+    return _VORTEX_R.copy() if right else _VORTEX_R.T.copy()
 
 
 def _phase(e: OpticalElement) -> np.ndarray:
@@ -289,15 +318,9 @@ def element_operator(element: OpticalElement) -> np.ndarray:
 
     POLARIZER returns a projector, which is not unitary; every other
     supported kind is unitary.  PBS and NPBS are two-port devices handled
-    by run_bench and have no single-arm operator.
+    by run_bench, and OpticalElement refuses them.
     """
-    row = _KINDS.get(element.kind)
-    if row is not None:
-        return row.operator(element)
-    if element.kind in ("PBS", "NPBS"):
-        raise ValueError(
-            f"{element.kind} is a two-port device with no single-arm operator")
-    raise ValueError(f"unknown element kind {element.kind!r}")
+    return _KINDS[element.kind].operator(element)
 
 
 # ----------------------------------------------------------------- parsing
@@ -358,17 +381,23 @@ def _parse_element(text: str, source: str, line: int) -> OpticalElement:
         if "angle" not in attrs:
             raise BenchParseError(f"{token} requires attribute 'angle'", source, line)
         angle = _parse_number(attrs["angle"], "'angle'", source, line)
-    chirality = attrs.get("chirality", "R")
-    if chirality not in ("L", "R"):
-        raise BenchParseError(
-            f"chirality must be L or R, got {chirality!r}", source, line
-        )
     flipped = attrs.get("flipped", "false")
+    # built before the flipped check, so a bad chirality is reported first
+    element = _build(OpticalElement, source, line, kind, angle,
+                     attrs.get("chirality", "R"), flipped == "true", attrs.get("id"))
     if flipped not in ("true", "false"):
         raise BenchParseError(
             f"flipped must be true or false, got {flipped!r}", source, line
         )
-    return OpticalElement(kind, angle, chirality, flipped == "true", attrs.get("id"))
+    return element
+
+
+def _build(cls, source: str, line: int, *args):
+    """cls(*args); a value the type refuses is a BenchParseError at line."""
+    try:
+        return cls(*args)
+    except ValueError as err:
+        raise BenchParseError(str(err), source, line) from None
 
 
 def _parse_keyvals(parts: list[str], stmt: str, source: str, line: int):
@@ -474,9 +503,7 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
     for line, attrs in sweeps_raw:
         for req in _SWEEP_ATTRS[:4]:
             if req not in attrs:
-                raise BenchParseError(
-                    f"sweep requires attribute {req!r}", source, line
-                )
+                raise BenchParseError(f"sweep requires attribute {req!r}", source, line)
         for key in attrs:
             if key not in _SWEEP_ATTRS:
                 raise BenchParseError(
@@ -491,38 +518,12 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
         if "angle" not in _KINDS[kind].attrs:
             raise BenchParseError(
                 f"sweep element {element_id!r} is a {kind}, which has no angle",
-                source,
-                line,
-            )
-        start = _parse_number(attrs["from"], "'from'", source, line)
-        stop = _parse_number(attrs["to"], "'to'", source, line)
-        step = _parse_number(attrs["step"], "'step'", source, line)
-        if step == 0.0:
-            raise BenchParseError("sweep step must be nonzero", source, line)
-        n = (stop - start) / step
-        if n < -1e-9:
-            raise BenchParseError(
-                "sweep step must point from 'from' toward 'to'", source, line
-            )
-        if n >= MAX_SWEEP_FRAMES:
-            raise BenchParseError(
-                f"sweep has {n + 1:.0f} frames, more than the cap of "
-                f"{MAX_SWEEP_FRAMES}", source, line
-            )
-        if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-            raise BenchParseError(
-                "sweep span is not an integer number of steps", source, line
-            )
-        record = [t.strip() for t in attrs.get("record", "").split(",") if t.strip()]
-        for token in record:
-            if token not in RECORD_NAMES:
-                raise BenchParseError(
-                    f"unknown record name {token!r} "
-                    f"(valid: {', '.join(RECORD_NAMES)})",
-                    source,
-                    line,
-                )
-        sweeps.append(SweepSpec(element_id, start, stop, step, tuple(record)))
+                source, line)
+        bounds = [_parse_number(attrs[key], repr(key), source, line)
+                  for key in ("from", "to", "step")]
+        record = tuple(t.strip() for t in attrs.get("record", "").split(",")
+                       if t.strip())
+        sweeps.append(_build(SweepSpec, source, line, element_id, *bounds, record))
 
     def section(key: str) -> tuple[OpticalElement, ...]:
         return tuple(e for s, _, e in placed if s == key)
@@ -539,14 +540,10 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
     )
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def _emit_element(e: OpticalElement) -> str:
     row = _KINDS[e.kind]
     text = {
-        "angle": _fmt(e.angle),
+        "angle": format_float(e.angle),
         "chirality": e.chirality,
         "flipped": "true" if e.flipped else "false",
     }
@@ -570,8 +567,8 @@ def serialize_bench(bench: BenchDescription) -> str:
                   f"combine NPBS reflect={bench.reflect}"]
     for sw in bench.sweeps:
         line = (
-            f"sweep element={sw.element_id} from={_fmt(sw.start)} "
-            f"to={_fmt(sw.stop)} step={_fmt(sw.step)}"
+            f"sweep element={sw.element_id} from={format_float(sw.start)} "
+            f"to={format_float(sw.stop)} step={format_float(sw.step)}"
         )
         if sw.record:
             line += " record=" + ",".join(sw.record)
@@ -598,9 +595,8 @@ def shipped_bench_path(name: str):
 # ----------------------------------------------------------------- running
 
 
-def _input_state(
-    bench: BenchDescription, input_state: CoherentState | None, n0: float, hbar: float
-) -> CoherentState:
+def _input_state(bench: BenchDescription,
+                 input_state: CoherentState | None) -> CoherentState:
     if input_state is not None:
         return input_state
     if bench.input_state not in state_names():
@@ -608,7 +604,7 @@ def _input_state(
             f"input state {bench.input_state!r} is not a named state; load "
             "the file yourself and pass input_state explicitly"
         )
-    return named_state(bench.input_state, n0=n0, hbar=hbar)
+    return named_state(bench.input_state)
 
 
 def _sections(bench: BenchDescription) -> tuple[tuple[OpticalElement, ...], ...]:
@@ -650,18 +646,16 @@ def _propagate(
 
 
 def run_bench(
-    bench: BenchDescription,
-    input_state: CoherentState | None = None,
-    n0: float = 1.0,
-    hbar: float = 1.0,
+    bench: BenchDescription, input_state: CoherentState | None = None
 ) -> CoherentState:
     """Propagate the input through the bench and return the camera state.
 
+    The input is ``input_state``, or else the bench's named input state.
     The PBS sends the horizontal component into arm A and the vertical
     component into arm B; at the NPBS the reflected arm picks up one
     mirror flip before the two amplitudes add.
     """
-    input_state = _input_state(bench, input_state, n0, hbar)
+    input_state = _input_state(bench, input_state)
     return _propagate(bench, _operators(bench), input_state)
 
 
@@ -684,15 +678,14 @@ def run_sweep(
     bench: BenchDescription,
     sweep: str | None = None,
     input_state: CoherentState | None = None,
-    n0: float = 1.0,
-    hbar: float = 1.0,
 ) -> SweepResult:
     """Run every frame of a sweep.
 
     ``sweep`` selects among the bench's declared sweeps by element id;
-    None takes the first declared sweep.  Each frame equals run_bench on
-    set_element_angle(bench, id, value), bit for bit: the fixed element
-    operators are built once, and only the swept one per frame.
+    None takes the first declared sweep, and the input is as in run_bench.
+    Each frame equals run_bench on set_element_angle(bench, id, value),
+    bit for bit: the fixed element operators are built once, and only the
+    swept one per frame.
     """
     specs = [s for s in bench.sweeps if sweep is None or s.element_id == sweep]
     if not specs:
@@ -704,20 +697,18 @@ def run_sweep(
             f"(declared: {declared})"
         )
     spec = specs[0]
-    values = spec.values
-    frames = []
-    if len(values):  # an empty sweep runs no frame, so it checks nothing
-        bench.find_element(spec.element_id)
-        input_state = _input_state(bench, input_state, n0, hbar)
-        ops = _operators(bench)
-        swept = [
-            (row, i, e)
-            for row, elems in zip(ops, _sections(bench))
-            for i, e in enumerate(elems)
-            if e.element_id == spec.element_id
-        ]
-        for v in values:
-            for row, i, e in swept:
-                row[i] = element_operator(dataclasses.replace(e, angle=float(v)))
-            frames.append(_propagate(bench, ops, input_state))
-    return SweepResult(bench=bench, sweep=spec, parameters=values, frames=tuple(frames))
+    bench.find_element(spec.element_id)
+    input_state = _input_state(bench, input_state)
+    ops = _operators(bench)
+    swept = [
+        (row, i, e)
+        for row, elems in zip(ops, _sections(bench))
+        for i, e in enumerate(elems)
+        if e.element_id == spec.element_id
+    ]
+    values, frames = spec.values, []
+    for v in values:
+        for row, i, e in swept:
+            row[i] = element_operator(dataclasses.replace(e, angle=float(v)))
+        frames.append(_propagate(bench, ops, input_state))
+    return SweepResult(sweep=spec, parameters=values, frames=tuple(frames))

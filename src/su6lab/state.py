@@ -46,6 +46,13 @@ _NAMED_AMPLITUDES: dict[str, list[complex]] = {
 }
 
 
+def positive_finite(name: str, value):
+    """The value, refused unless it is positive and finite (NaN fails)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CoherentState:
     """Normalized six-mode amplitude vector with photon-number scale."""
@@ -68,9 +75,8 @@ class CoherentState:
             raise ValueError("amplitude vector norm overflows")
         if norm < 1e-12:
             raise ValueError("zero amplitude vector is not normalizable")
-        for name, value in (("n0", self.n0), ("hbar", self.hbar)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        positive_finite("n0", self.n0)
+        positive_finite("hbar", self.hbar)
         a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)

@@ -153,6 +153,20 @@ def test_unknown_kind_rejected():
         op.element_operator(elem("GRATING"))
 
 
+@pytest.mark.parametrize("kind", ["HWP", "MIRROR", "VORTEX_LENS"])
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_element_refuses_a_non_finite_angle(kind, angle):
+    with pytest.raises(ValueError) as err:
+        elem(kind, angle=angle)
+    assert str(err.value) == f"element angle must be finite, got {angle}"
+
+
+def test_element_refuses_a_bad_lens_chirality():
+    with pytest.raises(ValueError) as err:
+        elem("VORTEX_LENS", chirality="Q")
+    assert str(err.value) == "chirality must be L or R, got 'Q'"
+
+
 # ---------------------------------------------------------------- parser
 
 VALID_BENCH = """\
@@ -261,6 +275,7 @@ MALFORMED = [
      6),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: VL chirality=Q\ncombine NPBS reflect=A',
      "chirality must be L or R, got 'Q'", 4),
+    (_HEAD + "pre: VL flipped=yes chirality=Q", "chirality must be L or R, got 'Q'", 3),
     ('bench "a"\ninput state=x\nsplit PBS\narm A: HWP angle=1 id=X / QWP angle=2 id=X\n'
      "combine NPBS reflect=A",
      "duplicate element id 'X'", 4),
@@ -328,6 +343,40 @@ def test_malformed_inputs_have_line_diagnostics(text, message, line):
         op.parse_bench(text, source="bad.bench")
     assert str(err.value) == f"bad.bench:{line}: {message}"
     assert err.value.line == line
+
+
+# the MALFORMED sweep statements refused by a SweepSpec rule
+SWEEP_ROWS = [(text.splitlines()[-1], message) for text, message, _ in MALFORMED
+              if message.startswith(("sweep step", "sweep span", "unknown record"))]
+
+
+@pytest.mark.parametrize("sweep,message", SWEEP_ROWS)
+def test_sweep_spec_refuses_what_the_parser_refuses(sweep, message):
+    words = dict(word.split("=", 1) for word in sweep.split()[1:])
+    record = tuple(words["record"].split(",")) if "record" in words else ()
+    with pytest.raises(ValueError) as err:
+        op.SweepSpec(words["element"], float(words["from"]), float(words["to"]),
+                     float(words["step"]), record)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_sweep_spec_refuses_a_runaway_frame_count():
+    # refused when built, before ``values`` could ask for 10**15 floats
+    with pytest.raises(ValueError) as err:
+        op.SweepSpec("H", 0.0, 1e12, 1e-3)
+    assert str(err.value) == (
+        "sweep has 1000000000000001 frames, more than the cap of "
+        f"{op.MAX_SWEEP_FRAMES}"
+    )
+
+
+@pytest.mark.parametrize("bounds", [(np.nan, 10.0, 5.0), (0.0, np.inf, 5.0),
+                                    (0.0, 10.0, np.inf)])
+def test_sweep_spec_refuses_non_finite_bounds(bounds):
+    with pytest.raises(ValueError) as err:
+        op.SweepSpec("H", *bounds)
+    assert str(err.value) == f"sweep from, to and step must be finite, got {bounds}"
 
 
 def _sweep_bench(spec):
@@ -616,18 +665,17 @@ def test_run_bench_with_explicit_input_state():
     )
 
 
+def test_set_element_angle_refuses_nan():
+    with pytest.raises(ValueError) as err:
+        op.set_element_angle(fig1_bench(), "HWP3", np.nan)
+    assert str(err.value) == "element angle must be finite, got nan"
+
+
 def test_run_bench_rejects_file_input_token_without_state():
     text = 'bench "f"\ninput state=some/file.json\nsplit PBS\ncombine NPBS reflect=A'
     bench = op.parse_bench(text)
     with pytest.raises(ValueError, match="file"):
         op.run_bench(bench)
-
-
-@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -2.0])
-def test_run_bench_refuses_a_bad_hbar(hbar):
-    with pytest.raises(ValueError) as err:
-        op.run_bench(fig1_bench(), hbar=hbar)
-    assert str(err.value) == f"hbar must be positive and finite, got {hbar!r}"
 
 
 def test_single_path_bench_and_polarizer_extinction():
@@ -691,16 +739,18 @@ def _outcome(fn):
        hs.sampled_from([1.0, 2.5]))
 def test_sweep_frames_equal_single_runs(case, given_input, n0):
     bench = case[2]
-    input_state = given_input and st.named_state(given_input, n0=n0)
+    # a file input stays None, so both sides refuse it
+    name = given_input or bench.input_state
+    input_state = st.named_state(name, n0=n0) if name in st.state_names() else None
     for element_id in {sw.element_id for sw in bench.sweeps}:
         spec = next(sw for sw in bench.sweeps if sw.element_id == element_id)
         want = [_outcome(lambda: op.run_bench(
                     op.set_element_angle(bench, element_id, float(v)),
-                    input_state=input_state, n0=n0))
+                    input_state=input_state))
                 for v in spec.values]
         errors = [w for w in want if isinstance(w[0], type)]
         try:
-            res = op.run_sweep(bench, element_id, input_state=input_state, n0=n0)
+            res = op.run_sweep(bench, element_id, input_state=input_state)
         except (ValueError, RuntimeError) as err:
             # the sweep stops at its first failing frame, with that error
             assert errors and (type(err), str(err)) == errors[0]
