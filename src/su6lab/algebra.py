@@ -329,12 +329,10 @@ def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
     return (v * np.exp(-0.5j * w * angle)) @ v.conj().T
 
 
-def exp_adjoint(adjoint: AdjointRep | np.ndarray, axis: np.ndarray,
-                angle: float) -> np.ndarray:
+def exp_adjoint(adjoint: AdjointRep, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation exp(sum_l axis_l G_l * angle) of the 35-dimensional
     observable vector; real special-orthogonal for real axis."""
-    mats = getattr(adjoint, "matrices", adjoint)
-    mats = np.asarray(mats, dtype=float)
+    mats = adjoint.matrices
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (mats.shape[0],):
         raise ValueError(

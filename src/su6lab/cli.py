@@ -33,8 +33,11 @@ from . import state as st
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    pass
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated long flags; subcommand parsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
 
 def _positive_float(text: str) -> float:
@@ -66,7 +69,7 @@ def _bins(text: str) -> tuple[int, int]:
 
 
 def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--grid", type=_grid_size, default=256,
                         help="pixels per side (default 256)")
@@ -82,7 +85,7 @@ def _common() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="su6lab",
         description="numerical laboratory for six-mode coherent light",
     )
@@ -167,7 +170,7 @@ def _resolve_state(token: str, what: str = "state") -> st.CoherentState:
     if os.path.exists(token):
         return serialize.load_state(token)
     catalog = ", ".join(st.state_names())
-    raise _UsageError(f"unknown {what} {token!r}; named states: {catalog}")
+    raise ValueError(f"unknown {what} {token!r}; named states: {catalog}")
 
 
 def _write_file(args, files: list, name: str, payload: str | bytes,
@@ -443,7 +446,7 @@ def main(argv: list | None = None) -> int:
     args._argv = tokens
     try:
         return args.func(args)
-    except (_UsageError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,9 +54,10 @@ validated and echoed into the trajectory sidecar; it selects no output
 (``bench sweep --fields`` writes the field frames).  A sweep builds each
 fixed element operator once and rebuilds only the swept one per frame.
 
-``OpticalElement`` and ``SweepSpec`` refuse values that break these rules
-(and non-finite numbers) when built; ``parse_bench`` re-raises a refusal
-at its line.  A run's input is ``input_state`` or the named input state.
+``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
+that break these rules (non-finite numbers, a reflect other than A or B)
+when built; ``parse_bench`` re-raises a refusal at its line.  A run's
+input is ``input_state`` or the named input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -186,6 +187,12 @@ class SweepSpec:
         return self.start + self.step * np.arange(self.frame_count, dtype=float)
 
 
+def _check_reflect(reflect: str) -> None:
+    """Refuse a reflect (the NPBS arm that gets the mirror flip) other than A or B."""
+    if reflect not in ("A", "B"):
+        raise ValueError(f"reflect must be A or B, got {reflect!r}")
+
+
 @dataclass(frozen=True)
 class BenchDescription:
     """A parsed bench file."""
@@ -198,6 +205,9 @@ class BenchDescription:
     split: bool = False
     reflect: str = "B"
     sweeps: tuple[SweepSpec, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_reflect(self.reflect)
 
     def all_elements(self) -> tuple[OpticalElement, ...]:
         return self.pre + self.arm_a + self.arm_b
@@ -393,7 +403,7 @@ def _parse_element(text: str, source: str, line: int) -> OpticalElement:
 
 
 def _build(cls, source: str, line: int, *args):
-    """cls(*args); a value the type refuses is a BenchParseError at line."""
+    """cls(*args); a value cls refuses is a BenchParseError at line."""
     try:
         return cls(*args)
     except ValueError as err:
@@ -446,10 +456,8 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
                 raise BenchParseError(message, source, line)
             if m.re.groups:
                 values[head] = m.group(1)
-            if head == "combine" and values[head] not in ("A", "B"):
-                raise BenchParseError(
-                    f"reflect must be A or B, got {values[head]!r}", source, line
-                )
+            if head == "combine":
+                _build(_check_reflect, source, line, values[head])
             lines[head] = line
         elif m := re.fullmatch(r"(?:pre|arm\s+([AB]))\s*:\s*(.*)", stmt, re.S):
             section = m.group(1) or "pre"
@@ -642,7 +650,7 @@ def _propagate(
             "bench output is fully extinguished "
             "(destructive recombination or a crossed polarizer)"
         )
-    return CoherentState(a, n0=input_state.n0, hbar=input_state.hbar)
+    return CoherentState(a, n0=input_state.n0)
 
 
 def run_bench(

@@ -2,8 +2,8 @@
 
 A normalized amplitude vector alpha (states 1..6, spin-major order) together
 with a mean photon number N0 fixes every generator expectation
-A_l = hbar * N0 * alpha^dag b_l alpha.  The 35-component vector A always has
-length hbar * N0 * sqrt(5/3); two- and three-mode slices of it live on the
+A_l = N0 * alpha^dag b_l alpha, in units of hbar.  The 35-component vector A
+always has length N0 * sqrt(5/3); two- and three-mode slices of it live on the
 named spheres (skyrmion, antiskyrmion, orbital chirality, polarization) and
 on the skyrmion torus handled here.  ``classify_texture`` names the
 texture family of a state from its point on the skyrmion and antiskyrmion
@@ -55,11 +55,10 @@ def positive_finite(name: str, value):
 
 @dataclass(frozen=True)
 class CoherentState:
-    """Normalized six-mode amplitude vector with photon-number scale."""
+    """Normalized six-mode amplitude vector with photon-number scale N0."""
 
     alpha: np.ndarray
     n0: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         a = np.asarray(self.alpha, dtype=complex).reshape(-1)
@@ -76,20 +75,14 @@ class CoherentState:
         if norm < 1e-12:
             raise ValueError("zero amplitude vector is not normalizable")
         positive_finite("n0", self.n0)
-        positive_finite("hbar", self.hbar)
         a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
-    @property
-    def scale(self) -> float:
-        """Observable scale hbar * N0 multiplying every expectation."""
-        return self.hbar * self.n0
-
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A point of an observable sphere, in units of hbar * N0."""
+    """A point of an observable sphere: coords in units of hbar, angles free of N0."""
 
     kind: str
     coords: np.ndarray            # (3,) real
@@ -104,7 +97,7 @@ class TorusPoint:
 
     theta_p: float                # poloidal angle in [0, 2 pi)
     phi_t: float                  # toroidal phase in (-pi, pi]
-    poloidal_radius: float        # hbar * N0 / 2 for torus states
+    poloidal_radius: float        # N0 / 2 for torus states, units of hbar
 
 
 @dataclass(frozen=True)
@@ -117,14 +110,14 @@ class Subsphere:
     triple: np.ndarray            # (3, 6, 6) complex
 
 
-def named_state(name: str, n0: float = 1.0, hbar: float = 1.0) -> CoherentState:
+def named_state(name: str, n0: float = 1.0) -> CoherentState:
     """Build a state from the catalog; unknown names list the catalog."""
     try:
         amps = _NAMED_AMPLITUDES[name]
     except KeyError:
         known = ", ".join(sorted(_NAMED_AMPLITUDES))
         raise ValueError(f"unknown state name {name!r}; known names: {known}") from None
-    return CoherentState(np.asarray(amps, dtype=complex), n0=n0, hbar=hbar)
+    return CoherentState(np.asarray(amps, dtype=complex), n0=n0)
 
 
 def state_names() -> tuple[str, ...]:
@@ -132,20 +125,20 @@ def state_names() -> tuple[str, ...]:
 
 
 def expectation(state: CoherentState, matrix: np.ndarray) -> float:
-    """Expectation hbar * N0 * alpha^dag M alpha of a Hermitian M."""
+    """Expectation N0 * alpha^dag M alpha of a Hermitian M."""
     m = np.asarray(matrix, dtype=complex)
     algebra._check_hermitian(m, "expectation matrix")
-    return state.scale * float(np.real(state.alpha.conj() @ m @ state.alpha))
+    return state.n0 * float(np.real(state.alpha.conj() @ m @ state.alpha))
 
 
 def all_expectations(state: CoherentState,
                      basis: algebra.GeneratorBasis | None = None) -> np.ndarray:
-    """The full 35-component observable vector, norm hbar*N0*sqrt(5/3)."""
+    """The full 35-component observable vector, norm N0*sqrt(5/3)."""
     basis = basis or algebra.su6_basis()
     vals = np.einsum(
         "lij,i,j->l", basis.matrices, state.alpha.conj(), state.alpha
     )
-    return state.scale * vals.real
+    return state.n0 * vals.real
 
 
 def apply_unitary(state: CoherentState, u: np.ndarray) -> CoherentState:
@@ -154,7 +147,7 @@ def apply_unitary(state: CoherentState, u: np.ndarray) -> CoherentState:
         raise ValueError(f"unitary must be 6x6, got {u.shape}")
     if np.max(np.abs(u.conj().T @ u - np.eye(6))) > 1e-10:
         raise ValueError("matrix is not unitary")
-    return CoherentState(u @ state.alpha, n0=state.n0, hbar=state.hbar)
+    return CoherentState(u @ state.alpha, n0=state.n0)
 
 
 def overlap(bra: CoherentState, ket: CoherentState) -> complex:
@@ -163,14 +156,11 @@ def overlap(bra: CoherentState, ket: CoherentState) -> complex:
 
 
 def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float,
-                            basis: algebra.GeneratorBasis | None = None,
-                            adjoint: algebra.AdjointRep | None = None) -> float:
+                            basis: algebra.GeneratorBasis,
+                            adjoint: algebra.AdjointRep) -> float:
     """Max deviation between rotating the observable vector with the adjoint
     matrix exp(G . axis * angle) and transporting the state with the unitary
     exp(-i b . axis * angle / 2) first."""
-    basis = basis or algebra.su6_basis()
-    if adjoint is None:
-        adjoint = algebra.adjoint_matrices(algebra.structure_constants(basis))
     axis = np.asarray(axis, dtype=float)
     gen = np.einsum("l,lij->ij", axis, basis.matrices)
     quantum = all_expectations(
@@ -182,23 +172,24 @@ def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float
     return float(np.max(np.abs(quantum - classical)))
 
 
-def _sphere_point(kind: str, coords: np.ndarray) -> SpherePoint:
-    coords = np.asarray(coords, dtype=float)
-    coords.setflags(write=False)
-    r = float(np.linalg.norm(coords))
-    if r < 1e-14:
-        return SpherePoint(kind, coords, 0.0, 0.0, True)
-    theta = float(np.arccos(np.clip(coords[2] / r, -1.0, 1.0)))
-    planar = float(np.hypot(coords[0], coords[1]))
-    if planar < 1e-14 * max(r, 1.0):
-        return SpherePoint(kind, coords, theta, 0.0, True)
-    return SpherePoint(kind, coords, theta, float(np.arctan2(coords[1], coords[0])), False)
+def _unit_coords(state: CoherentState, triple: np.ndarray) -> np.ndarray:
+    """Expectations of a generator triple per photon (N0 = 1)."""
+    a = state.alpha
+    return np.einsum("kij,i,j->k", triple, a.conj(), a).real
 
 
 def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> SpherePoint:
-    a = state.alpha
-    coords = state.scale * np.einsum("kij,i,j->k", triple, a.conj(), a).real
-    return _sphere_point(kind, coords)
+    # the degeneracy thresholds scale with N0, so the angles do not depend on it
+    coords = state.n0 * _unit_coords(state, triple)
+    coords.setflags(write=False)
+    r = float(np.linalg.norm(coords))
+    if r < 1e-14 * state.n0:
+        return SpherePoint(kind, coords, 0.0, 0.0, True)
+    theta = float(np.arccos(np.clip(coords[2] / r, -1.0, 1.0)))
+    planar = float(np.hypot(coords[0], coords[1]))
+    if planar < 1e-14 * max(r, state.n0):
+        return SpherePoint(kind, coords, theta, 0.0, True)
+    return SpherePoint(kind, coords, theta, float(np.arctan2(coords[1], coords[0])), False)
 
 
 def skyrmion_sphere(state: CoherentState) -> SpherePoint:
@@ -240,7 +231,7 @@ def polarization_sphere(state: CoherentState) -> SpherePoint:
 
 
 def su2_state(theta: float, phi: float, kind: str = "skyrmion",
-              n0: float = 1.0, hbar: float = 1.0) -> CoherentState:
+              n0: float = 1.0) -> CoherentState:
     """Two-mode superposition at polar angle theta, azimuth phi of the
     skyrmion sphere (pair 3, 4) or antiskyrmion sphere (pair 3, 5)."""
     if kind == "skyrmion":
@@ -252,11 +243,10 @@ def su2_state(theta: float, phi: float, kind: str = "skyrmion",
     a = np.zeros(6, dtype=complex)
     a[2] = np.exp(-0.5j * phi) * np.cos(theta / 2)
     a[partner] = np.exp(0.5j * phi) * np.sin(theta / 2)
-    return CoherentState(a, n0=n0, hbar=hbar)
+    return CoherentState(a, n0=n0)
 
 
-def torus_state(theta_p: float, phi_t: float,
-                n0: float = 1.0, hbar: float = 1.0) -> CoherentState:
+def torus_state(theta_p: float, phi_t: float, n0: float = 1.0) -> CoherentState:
     """Torus family: fundamental mode at weight 1/2 plus a poloidal mix of
     the two vortex modes of the lower spin, with toroidal phase phi_t.
 
@@ -269,13 +259,13 @@ def torus_state(theta_p: float, phi_t: float,
     pair = np.exp(1j * phi_t) / R2
     a[3] = pair * np.cos(theta_p / 2)
     a[4] = pair * np.sin(theta_p / 2)
-    return CoherentState(a, n0=n0, hbar=hbar)
+    return CoherentState(a, n0=n0)
 
 
 def state_to_torus(state: CoherentState, tol: float = 1e-8) -> TorusPoint:
     """Invert the torus family map from measured orbital-chirality data.
 
-    theta_p comes from (L1, L3) = hbar N0 / 2 * (sin, cos) theta_p, phi_t
+    theta_p comes from (L1, L3) = N0 / 2 * (sin, cos) theta_p, phi_t
     from the coherence phase between the fundamental amplitude and the
     poloidal combination of the vortex pair.  States outside the family
     (weight outside states 3..5, or an unbalanced fundamental mode) are
@@ -299,7 +289,7 @@ def state_to_torus(state: CoherentState, tol: float = 1e-8) -> TorusPoint:
     c = u[0] * a[3] + u[1] * a[4]
     phi_t = float(np.angle(c * np.conj(a[2])))
     return TorusPoint(theta_p=theta_p, phi_t=phi_t,
-                      poloidal_radius=state.scale * float(np.hypot(l1, l3)))
+                      poloidal_radius=state.n0 * float(np.hypot(l1, l3)))
 
 
 # ------------------------------------------------------------ texture labels
@@ -327,10 +317,9 @@ def _wrap_angle(x: float) -> float:
 
 
 def _pair_label(coords, cardinals, tol: float) -> str:
-    r = np.linalg.norm(coords)
-    if r < 1e-12:
-        return "intermediate"
-    u = np.asarray(coords) / r
+    # coords are per photon; on the branches that call this the pair weight,
+    # which is their length, is at least 1 - 2e-9
+    u = coords / np.linalg.norm(coords)
     for target, label in cardinals:
         if np.arccos(np.clip(u @ target, -1.0, 1.0)) <= tol:
             return label
@@ -354,11 +343,11 @@ def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
     if weights[0] + weights[1] + weights[5] > 1e-9:
         return "other"
     if weights[4] <= 1e-9:
-        return _pair_label(skyrmion_sphere(state).coords, _SKYRMION_CARDINALS, tol)
+        return _pair_label(_unit_coords(state, algebra.skyrmion_generators()),
+                           _SKYRMION_CARDINALS, tol)
     if weights[3] <= 1e-9:
-        return _pair_label(
-            antiskyrmion_sphere(state).coords, _ANTISKYRMION_CARDINALS, tol
-        )
+        return _pair_label(_unit_coords(state, algebra.antiskyrmion_generators()),
+                           _ANTISKYRMION_CARDINALS, tol)
     try:
         tp = state_to_torus(state, tol=1e-6)
     except ValueError:

@@ -257,6 +257,13 @@ def test_skyrmion_generators_from_tensor_products():
     )
 
 
+def test_basis_index_of_a_label_and_of_an_unknown_one():
+    basis = alg.su6_basis()
+    assert basis.index(basis.labels[7]) == 7
+    with pytest.raises(KeyError, match="unknown generator label 'x9'"):
+        basis.index("x9")
+
+
 def test_pair_triple_is_one_based_and_range_checked():
     assert np.array_equal(alg.pair_triple(3, 4), alg.skyrmion_generators())
     assert np.array_equal(alg.pair_triple(3, 5), alg.antiskyrmion_generators())

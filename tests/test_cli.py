@@ -353,6 +353,39 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert main(["field", "render", "--state", "neel_out", "--waist", "-2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "run", "--bench", "fig1", "--o"],
+    ["field", "render", "--state", "neel_out", "--skyrmion", "--out"],
+])
+def test_abbreviated_flags_are_refused(tmp_path, capsys, argv):
+    # an abbreviated --out would reach the sidecar's recorded command
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / "out"))
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_given_with_equals_is_left_out_of_the_sidecar(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "bench", "run", "--bench", "fig1",
+                         f"--out={tmp_path}")
+    assert code == 0
+    sidecar = json.loads((tmp_path / "camera_state.json.json").read_text())
+    assert sidecar["command"] == "su6lab bench run --bench fig1"
+
+
+@pytest.mark.parametrize("bins,message", [
+    ("32", "bins must be THETA,PHI, e.g. 32,64"),
+    ("0,4", "bin counts must be positive"),
+])
+def test_bad_bubble_bins_are_usage_errors(tmp_path, capsys, bins, message):
+    code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
+                           "--grid", "16", "--bubble", bins,
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert f"argument --bubble: {message}" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_grid_floor_is_the_transverse_grid_minimum(tmp_path, capsys):
     code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
                            "--grid", "15", "--out", str(tmp_path))

@@ -620,6 +620,21 @@ def test_bubble_map_rejects_disk_beyond_grid():
         fd.soup_bubble(sf, disk_radius=3.5)
 
 
+def test_bubble_map_refuses_empty_bins():
+    sf = stokes_for("neel_out", grid=fd.TransverseGrid(size=32, extent=3.0))
+    with pytest.raises(ValueError) as err:
+        fd.soup_bubble(sf, bins=(0, 4))
+    assert str(err.value) == "bins must be positive, got (0, 4)"
+
+
+def test_stokes_fields_refuse_a_field_of_another_grid():
+    small = fd.TransverseGrid(size=32, extent=3.0)
+    e_left, e_right = fd.synthesize(st.named_state("neel_out"), small)
+    with pytest.raises(ValueError) as err:
+        fd.stokes_fields(e_left, e_right, fd.TransverseGrid(size=64, extent=3.0))
+    assert str(err.value) == "field shape (32, 32) does not match the grid (64, 64)"
+
+
 def test_neel_out_bubble_covers_the_sphere():
     # the equal-area profile spends pixels evenly over the sphere, so
     # every one of the 32x64 bins is hit; the linear profile squeezes

@@ -167,6 +167,13 @@ def test_element_refuses_a_bad_lens_chirality():
     assert str(err.value) == "chirality must be L or R, got 'Q'"
 
 
+@pytest.mark.parametrize("reflect", ["Q", "a", ""])
+def test_bench_refuses_a_reflect_other_than_a_or_b(reflect):
+    with pytest.raises(ValueError) as err:
+        op.BenchDescription("x", "h_gaussian", split=True, reflect=reflect)
+    assert str(err.value) == f"reflect must be A or B, got {reflect!r}"
+
+
 # ---------------------------------------------------------------- parser
 
 VALID_BENCH = """\
@@ -708,6 +715,12 @@ def test_sweep_selection_and_unknown_id():
         op.run_sweep(bench, "HWP9")
 
 
+def test_run_sweep_on_a_bench_without_sweeps():
+    with pytest.raises(ValueError) as err:
+        op.run_sweep(op.BenchDescription("plain", "h_gaussian"))
+    assert str(err.value) == "bench 'plain' declares no sweep"
+
+
 def test_sweeping_a_phase_element():
     text = (
         'bench "ph"\ninput state=basis_3\nsplit PBS\narm A: PHASE angle=0\n'
@@ -731,7 +744,7 @@ def _outcome(fn):
         out = fn()
     except (ValueError, RuntimeError) as err:
         return type(err), str(err)
-    return out.alpha.tobytes(), out.n0, out.hbar
+    return out.alpha.tobytes(), out.n0
 
 
 @PROPERTY
@@ -757,7 +770,7 @@ def test_sweep_frames_equal_single_runs(case, given_input, n0):
             continue
         assert not errors
         assert res.parameters.tobytes() == spec.values.tobytes()
-        assert [(f.alpha.tobytes(), f.n0, f.hbar) for f in res.frames] == want
+        assert [(f.alpha.tobytes(), f.n0) for f in res.frames] == want
 
 
 def test_sweep_errors_keep_their_text_and_order():

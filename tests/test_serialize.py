@@ -176,6 +176,18 @@ def test_json_accepts_numpy_booleans(value, text):
     assert ser.json_text(value) == text + "\n"
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"n0": 1.0}, "not a state file (missing 'alpha')"),
+    ({"alpha": [[1.0, 0.0]] * 5}, "'alpha' must have 6 [re, im] pairs"),
+])
+def test_load_state_refuses_a_file_that_is_not_a_state(tmp_path, obj, message):
+    path = tmp_path / "state.json"
+    path.write_text(ser.json_text(obj))
+    with pytest.raises(ValueError) as err:
+        ser.load_state(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
 # -------------------------------------------------------------- arrays
 
 

@@ -111,17 +111,6 @@ def test_construction_rejects_non_finite_photon_number(n0):
         st.CoherentState(np.ones(6, dtype=complex), n0=n0)
 
 
-@pytest.mark.parametrize("hbar", [np.nan, np.inf, 0.0, -2.0])
-def test_construction_rejects_a_bad_hbar(hbar):
-    message = f"hbar must be positive and finite, got {hbar!r}"
-    with pytest.raises(ValueError) as err:
-        st.CoherentState(np.ones(6, dtype=complex), hbar=hbar)
-    assert str(err.value) == message
-    with pytest.raises(ValueError) as err:
-        st.named_state("neel_out", hbar=hbar)
-    assert str(err.value) == message
-
-
 def test_expectation_rejects_non_hermitian():
     m = np.zeros((6, 6), dtype=complex)
     m[0, 1] = 1.0
@@ -155,7 +144,7 @@ def test_sphere_coordinates_of_named_states():
 
 
 def test_sphere_coordinates_scale_with_photon_number():
-    s = st.named_state("neel_out", n0=2.5, hbar=0.5)
+    s = st.named_state("neel_out", n0=1.25)
     pt = st.skyrmion_sphere(s)
     assert np.allclose(pt.coords, (1.25, 0, 0), atol=1e-12)
 
@@ -169,6 +158,27 @@ def test_sphere_angles_and_degenerate_azimuth():
     assert pole.theta == pytest.approx(0.0, abs=1e-12)
     assert pole.phi == 0.0
     assert pole.degenerate_azimuth
+
+
+@pytest.mark.parametrize("n0", [1e-15, 1e-100])
+@pytest.mark.parametrize("name", ["neel_out", "neel_in", "bloch_left",
+                                  "bloch_right", "antiskyrmion_h",
+                                  "antiskyrmion_v", "dipolar", "basis_3"])
+def test_labels_and_sphere_angles_do_not_depend_on_photon_number(name, n0):
+    at_one, scaled = st.named_state(name), st.named_state(name, n0=n0)
+    assert st.classify_texture(scaled) == st.classify_texture(at_one)
+    for sphere in (st.skyrmion_sphere, st.antiskyrmion_sphere,
+                   st.oam_sphere, st.polarization_sphere):
+        want, got = sphere(at_one), sphere(scaled)
+        assert got.degenerate_azimuth == want.degenerate_azimuth
+        assert (got.theta, got.phi) == pytest.approx((want.theta, want.phi),
+                                                     abs=1e-12)
+
+
+def test_apply_unitary_refuses_a_matrix_of_another_size():
+    with pytest.raises(ValueError) as err:
+        st.apply_unitary(st.named_state("neel_out"), np.eye(5))
+    assert str(err.value) == "unitary must be 6x6, got (5, 5)"
 
 
 def test_overlap_values():
@@ -343,11 +353,11 @@ SCALE = hs.floats(0.1, 10.0, allow_nan=False)
 
 @hs.composite
 def states(draw):
-    """Random amplitudes (norm at least 1e-3) with random N0 and hbar."""
+    """Random amplitudes (norm at least 1e-3) with random N0."""
     parts = np.array(draw(hs.lists(UNIT, min_size=12, max_size=12)))
     a = parts[:6] + 1j * parts[6:]
     assume(np.linalg.norm(a) >= 1e-3)
-    return st.CoherentState(a, n0=draw(SCALE), hbar=draw(SCALE))
+    return st.CoherentState(a, n0=draw(SCALE))
 
 
 @hs.composite
@@ -367,13 +377,14 @@ def adjoint():
 @given(states())
 def test_observable_vector_radius_property(s):
     radius = np.linalg.norm(st.all_expectations(s))
-    assert radius == pytest.approx(s.hbar * s.n0 * np.sqrt(5.0 / 3.0), rel=1e-12)
+    assert radius == pytest.approx(s.n0 * np.sqrt(5.0 / 3.0), rel=1e-12)
 
 
 @PROPERTY
 @given(s=states(), axis=unit_axes(), angle=hs.floats(-10.0, 10.0, allow_nan=False))
 def test_correspondence_residual_property(adjoint, s, axis, angle):
-    resid = st.correspondence_residual(s, axis, angle, adjoint=adjoint)
+    resid = st.correspondence_residual(s, axis, angle, basis=alg.su6_basis(),
+                                       adjoint=adjoint)
     assert resid < 1e-10
 
 
