@@ -71,7 +71,7 @@ def gell_mann_matrices() -> np.ndarray:
     return _GELL_MANN.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Ordered, trace-normalized generator set for su(6)."""
 
@@ -86,7 +86,7 @@ class GeneratorBasis:
             raise KeyError(f"unknown generator label {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointRep:
     """Adjoint matrices G_l with the measured closure constant c in
     [G_l, G_m] = c * sum_n g_lmn G_n."""
@@ -317,6 +317,12 @@ def antiskyrmion_generators() -> np.ndarray:
     return pair_triple(3, 5)
 
 
+def _exp_hermitian(h: np.ndarray, t: complex) -> np.ndarray:
+    """exp(t * h) for a Hermitian h, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(t * w)) @ v.conj().T
+
+
 def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
     """Unitary exp(-i * generator * angle / 2) via eigendecomposition.
 
@@ -325,13 +331,13 @@ def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
     """
     generator = np.asarray(generator, dtype=complex)
     _check_hermitian(generator, "generator")
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-0.5j * w * angle)) @ v.conj().T
+    return _exp_hermitian(generator, -0.5j * angle)
 
 
 def exp_adjoint(adjoint: AdjointRep, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation exp(sum_l axis_l G_l * angle) of the 35-dimensional
-    observable vector; real special-orthogonal for real axis."""
+    observable vector; real special-orthogonal for real axis.  The real
+    antisymmetric G makes i*G Hermitian: this is exp(-i * angle * (i*G))."""
     mats = adjoint.matrices
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (mats.shape[0],):
@@ -340,7 +346,5 @@ def exp_adjoint(adjoint: AdjointRep, axis: np.ndarray, angle: float) -> np.ndarr
         )
     if np.linalg.norm(axis) < 1e-12:
         raise ValueError("rotation axis is the zero vector")
-    import scipy.linalg  # loaded on first use: no CLI command needs it
-
     gen = np.einsum("l,lmn->mn", axis, mats)
-    return scipy.linalg.expm(gen * angle)
+    return _exp_hermitian(1j * gen, -1j * angle).real

@@ -49,12 +49,10 @@ def _positive_float(text: str) -> float:
 
 
 def _grid_size(text: str) -> int:
-    from .field import MIN_GRID
-
     value = int(text)
-    if value < MIN_GRID:
+    if value < st.MIN_GRID:
         raise argparse.ArgumentTypeError(
-            f"grid size must be >= {MIN_GRID}, got {text!r}")
+            f"grid size must be >= {st.MIN_GRID}, got {text!r}")
     return value
 
 

@@ -32,10 +32,10 @@ converge to the same integer as the grid is refined; the closure
 contribution itself is evaluated once with the solid-angle rule and
 shared, so the two results differ only by the interior quadrature.
 The derivatives themselves are taken on the texture continued past the
-intensity cutoff by nearest defined pixel, never on the saturated map,
-so no stencil straddles the artificial closure step.  The continuation
-runs only when a stencil that feeds the charge reads a dark pixel;
-otherwise it would change no value that is used.
+intensity cutoff by nearest defined pixel, within two steps, ties as the
+EDT (exact Euclidean distance transform), never on the saturated map, so
+no stencil straddles the closure step.  Only the dark pixels that a
+stencil of the charge reads are continued, and only when there are some.
 
 The topology kernels work on the three component planes of the texture,
 strip by strip, and repeat the arithmetic of np.einsum and np.cross on
@@ -52,7 +52,7 @@ import numpy as np
 
 # classify_texture reads the state spheres and the torus, so it lives in
 # state; the name stays here for callers that address it as a field name
-from .state import CoherentState, classify_texture, positive_finite
+from .state import MIN_GRID, CoherentState, classify_texture, positive_finite
 
 __all__ = [
     "SpinTextureMap",
@@ -72,7 +72,6 @@ __all__ = [
 
 _S0_CUTOFF = 1e-12
 _STRIP = 32  # rows per block of the topology kernels
-MIN_GRID = 16  # smallest grid side in pixels, also the CLI --grid floor
 
 
 @dataclass(frozen=True)
@@ -332,12 +331,25 @@ def _charge_density(spins, spacing):
     return _dot(spins, _cross(gx, gy)) / (4.0 * np.pi)
 
 
+# the 13 offsets within two pixels, +2 into a 2-padded grid, nearest first and
+# ties as the EDT's (Maurer et al., IEEE TPAMI 25, 2003): smaller column, row
+_NEAR = np.array(sorted(np.ndindex(5, 5), key=lambda o: (
+    (o[0] - 2) ** 2 + (o[1] - 2) ** 2, o[1], o[0])))[:13]
+
+
+def _nearest_defined(defined, rows, cols):
+    # the first defined pixel in _NEAR order around each (row, col)
+    padded = np.pad(defined, 2)
+    first = np.argmax([padded[rows + r, cols + c] for r, c in _NEAR], axis=0)
+    return rows + _NEAR[first, 0] - 2, cols + _NEAR[first, 1] - 2
+
+
 def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     # derivatives need a smooth field; dark pixels inherit the spin of
     # the nearest defined pixel instead of an arbitrary constant.  The
     # charge reads rho only on mask pixels, and their stencils reach two
-    # pixels along the row and the column; when all of those are defined
-    # the continuation changes no value that is read
+    # pixels along the row and the column, so only the dark pixels in that
+    # reach are filled, each from a mask pixel at most two away
     spins = np.moveaxis(sf.n, -1, 0)
     reach = mask.copy()
     for s in (1, 2):
@@ -345,14 +357,12 @@ def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
         reach[:-s] |= mask[s:]
         reach[:, s:] |= mask[:, :-s]
         reach[:, :-s] |= mask[:, s:]
-    if not (reach & ~sf.mask).any():
+    rows, cols = np.nonzero(reach & ~sf.mask)
+    if not rows.size:
         return spins
-    from scipy import ndimage
-
-    rows, cols = ndimage.distance_transform_edt(
-        ~sf.mask, return_distances=False, return_indices=True
-    )
-    return spins[:, rows, cols]
+    continued = spins.copy()
+    continued[:, rows, cols] = sf.n[_nearest_defined(sf.mask, rows, cols)].T
+    return continued
 
 
 def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:

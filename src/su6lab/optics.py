@@ -145,6 +145,10 @@ class OpticalElement:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if "chirality" in row.attrs and self.chirality not in ("L", "R"):
             raise ValueError(f"chirality must be L or R, got {self.chirality!r}")
+        if "chirality" not in row.attrs and self.chirality != "R":
+            raise ValueError(f"{self.kind} has no chirality, got {self.chirality!r}")
+        if not isinstance(self.flipped, bool):
+            raise ValueError(f"flipped must be True or False, got {self.flipped!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"element angle must be finite, got {self.angle}")
 
@@ -293,7 +297,7 @@ def _jones(matrix: Callable[[float], np.ndarray]):
 
 
 def _vortex_lens(e: OpticalElement) -> np.ndarray:
-    right = (e.chirality == "R") != bool(e.flipped)  # flipped swaps L and R
+    right = (e.chirality == "R") != e.flipped  # flipped swaps L and R
     return _VORTEX_R.copy() if right else _VORTEX_R.T.copy()
 
 

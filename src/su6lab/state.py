@@ -20,6 +20,9 @@ from . import algebra
 
 _TWO_PI = 2.0 * np.pi
 R2 = np.sqrt(2.0)
+# smallest side in pixels of a field grid; kept here so the CLI's --grid
+# floor reads it without loading field
+MIN_GRID = 16
 
 # fixed catalog of named states (amplitudes are normalized at construction)
 _NAMED_AMPLITUDES: dict[str, list[complex]] = {
@@ -155,20 +158,25 @@ def overlap(bra: CoherentState, ket: CoherentState) -> complex:
     return complex(bra.alpha.conj() @ ket.alpha)
 
 
+@lru_cache(maxsize=1)  # a sweep asks for one axis and angle on every frame
+def _transports(axis_bytes: bytes, angle: float, basis, adjoint):
+    # the unitary and the rotation; basis and adjoint hash by identity and
+    # the entry holds them, so a reused id() cannot match a stale entry
+    axis = np.frombuffer(axis_bytes)
+    gen = np.einsum("l,lij->ij", axis, basis.matrices)
+    return algebra.exp_generator(gen, angle), algebra.exp_adjoint(adjoint, axis, angle)
+
+
 def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float,
                             basis: algebra.GeneratorBasis,
                             adjoint: algebra.AdjointRep) -> float:
     """Max deviation between rotating the observable vector with the adjoint
     matrix exp(G . axis * angle) and transporting the state with the unitary
     exp(-i b . axis * angle / 2) first."""
-    axis = np.asarray(axis, dtype=float)
-    gen = np.einsum("l,lij->ij", axis, basis.matrices)
-    quantum = all_expectations(
-        apply_unitary(state, algebra.exp_generator(gen, angle)), basis
-    )
-    classical = algebra.exp_adjoint(adjoint, axis, angle) @ all_expectations(
-        state, basis
-    )
+    unitary, rotation = _transports(np.asarray(axis, dtype=float).tobytes(),
+                                    float(angle), basis, adjoint)
+    quantum = all_expectations(apply_unitary(state, unitary), basis)
+    classical = rotation @ all_expectations(state, basis)
     return float(np.max(np.abs(quantum - classical)))
 
 

@@ -148,6 +148,21 @@ def test_state_file_with_nan_amplitude_exits_2(tmp_path, capsys):
     assert f"{path}: amplitude 2 is not finite: (nan+0j)" in err
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"alpha": 5}', "'alpha'"),
+    ('{"alpha": [[1, 0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}', "'alpha'"),
+    ('{"alpha": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "n0": [2]}',
+     "'n0'"),
+])
+def test_state_file_of_the_wrong_shape_exits_2(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: {key} must ")
+
+
 def test_non_finite_extent_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
                            "--extent", "inf", "--out", str(tmp_path))
@@ -446,15 +461,49 @@ def test_field_render_leaves_scipy_ndimage_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded():
-    # scipy.linalg (exp_adjoint) and scipy.ndimage (the charge pass) load
-    # on first use, so commands that need neither do not pay for them
-    code = ("import sys, su6lab.cli; print(sorted(m for m in "
-            "('scipy.linalg', 'scipy.ndimage') if m in sys.modules))")
+def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
+    # su6lab runs on numpy alone: neither the import nor any command loads
+    # a scipy module.  The last render reads dark pixels, so it runs the
+    # nearest-pixel continuation of the charge pass
+    commands = [
+        ["algebra", "verify"],
+        ["algebra", "export"],
+        ["state", "eval", "--state", "neel_out", "--spheres", "--torus"],
+        ["bench", "run", "--bench", "fig1"],
+        ["bench", "sweep", "--bench", "fig1", "--element", "HWP3",
+         "--fields", "--grid", "16"],
+        ["field", "render", "--state", "neel_out", "--grid", "64",
+         "--extent", "4.0", "--skyrmion-number", "--bubble", "8,16"],
+    ]
+    code = ("import json, sys\n"
+            "from su6lab import field\n"
+            "from su6lab.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "runs, rule = [], field._nearest_defined\n"
+            "field._nearest_defined = lambda *a: runs.append(1) or rule(*a)\n"
+            "seen = [loaded()]\n"
+            f"for argv in {commands!r}:\n"
+            f"    seen.append([main([*argv, '--out', {str(tmp_path)!r}]), loaded()])\n"
+            "print(json.dumps([seen, runs]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen, runs = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[]] + [[0, []]] * len(commands)
+    assert runs == [1]
+
+
+def test_grid_flag_leaves_field_unloaded(tmp_path):
+    # the --grid floor lives in state, so a bench run does not load field
+    code = ("import sys; from su6lab.cli import main; "
+            "code = main(['bench', 'run', '--bench', 'fig1', '--grid', '64', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'su6lab.field' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_algebra_and_state_commands_leave_field_and_optics_unloaded(tmp_path):

@@ -9,9 +9,12 @@ against closed-form radial formulas evaluated per pixel.
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from su6lab import field as fd
 from su6lab import optics as op
@@ -429,17 +432,21 @@ def test_charge_density_kernel_matches_the_vector_formula(size):
 
 @pytest.fixture
 def edt_calls(monkeypatch):
-    """Count the nearest-pixel transforms run while the test runs."""
+    """Count the nearest-pixel searches run while the test runs: the
+    package's own rule and the EDT of the reference continuation."""
     from scipy import ndimage
 
     calls = []
-    original = ndimage.distance_transform_edt
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(original):
+        def count(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    monkeypatch.setattr(fd, "_nearest_defined", counting(fd._nearest_defined))
+    monkeypatch.setattr(ndimage, "distance_transform_edt",
+                        counting(ndimage.distance_transform_edt))
     return calls
 
 
@@ -450,6 +457,43 @@ def _always_continued(sf, mask):
         ~sf.mask, return_distances=False, return_indices=True
     )
     return np.moveaxis(sf.n, -1, 0)[:, rows, cols]
+
+
+@hs.composite
+def cut_textures(draw):
+    """A texture whose spins name their own pixel, (row, col, 0), with a
+    drawn defined mask (random, a dark ring or a dark outside) and disk."""
+    n = draw(hs.integers(8, 48))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    rr = np.hypot(*(np.indices((n, n)) - draw(hs.floats(0.0, n - 1.0))))
+    radius = draw(hs.floats(1.0, float(n)))
+    shape = draw(hs.sampled_from(["random", "ring", "disk"]))
+    if shape == "random":
+        defined = rng.random((n, n)) < draw(hs.floats(0.05, 0.95))
+    elif shape == "ring":
+        defined = np.abs(rr - radius) > draw(hs.floats(0.5, 4.0))
+    else:
+        defined = rr < radius
+    spins = np.stack([*np.indices((n, n), dtype=float), np.zeros((n, n))], axis=-1)
+    disk = rr <= draw(hs.floats(0.5, float(n)))
+    return SimpleNamespace(n=spins, mask=defined), disk & defined
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(cut_textures())
+def test_continuation_picks_the_edt_pixel_for_every_dark_pixel_in_reach(case):
+    from scipy import ndimage
+
+    sf, mask = case
+    plus = np.zeros((5, 5), dtype=bool)
+    plus[2] = plus[:, 2] = True
+    targets = ndimage.binary_dilation(mask, structure=plus) & ~sf.mask
+    continued = fd._continue_past_cutoff(sf, mask)
+    spins = np.moveaxis(sf.n, -1, 0)
+    assert np.array_equal(continued[:, ~targets], spins[:, ~targets])
+    if targets.any():
+        reference = _always_continued(sf, mask)
+        assert np.array_equal(continued[:, targets], reference[:, targets])
 
 
 def _report(sf, disk_radius):

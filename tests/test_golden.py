@@ -9,6 +9,9 @@ numpy build may move the last bits of the einsum and field arithmetic
 and so the digests.
 """
 import hashlib
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -153,3 +156,28 @@ def test_recipe_outputs_match_golden_digests(recipe, tmp_path, capsys):
     for path in sorted(tmp_path.iterdir()):
         got[path.name] = _sha256(path.read_bytes())
     assert got == GOLDEN[" ".join(recipe)]
+
+
+def test_recipes_match_golden_digests_with_scipy_blocked(tmp_path):
+    # numpy is the one runtime dependency: with scipy unimportable, a
+    # fresh process gives every recipe its pinned bytes
+    code = f"""
+import contextlib, hashlib, io, json, os, sys
+sys.modules["scipy"] = None
+from su6lab.cli import main
+got = {{}}
+for k, recipe in enumerate({RECIPES!r}):
+    out = os.path.join({str(tmp_path)!r}, str(k))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main([*recipe, "--out", out]) == 0
+    digests = {{"<stdout>": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}}
+    for name in sorted(os.listdir(out) if os.path.isdir(out) else []):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    got[" ".join(recipe)] = digests
+print(json.dumps(got))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == GOLDEN

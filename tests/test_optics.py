@@ -167,6 +167,22 @@ def test_element_refuses_a_bad_lens_chirality():
     assert str(err.value) == "chirality must be L or R, got 'Q'"
 
 
+@pytest.mark.parametrize("kind", ["HWP", "QWP", "POLARIZER", "MIRROR", "PHASE"])
+@pytest.mark.parametrize("chirality", ["L", "X", ""])
+def test_element_without_chirality_refuses_one(kind, chirality):
+    with pytest.raises(ValueError) as err:
+        elem(kind, chirality=chirality)
+    assert str(err.value) == f"{kind} has no chirality, got {chirality!r}"
+
+
+@pytest.mark.parametrize("kind", ["VORTEX_LENS", "HWP"])
+@pytest.mark.parametrize("flipped", ["no", "true", 1, 0, None, np.bool_(True)])
+def test_element_refuses_a_flipped_that_is_not_a_bool(kind, flipped):
+    with pytest.raises(ValueError) as err:
+        elem(kind, flipped=flipped)
+    assert str(err.value) == f"flipped must be True or False, got {flipped!r}"
+
+
 @pytest.mark.parametrize("reflect", ["Q", "a", ""])
 def test_bench_refuses_a_reflect_other_than_a_or_b(reflect):
     with pytest.raises(ValueError) as err:

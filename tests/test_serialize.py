@@ -188,6 +188,39 @@ def test_load_state_refuses_a_file_that_is_not_a_state(tmp_path, obj, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+SIX_PAIRS = [[1.0, 0.0]] + [[0, 0]] * 5
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"alpha": 5}, "'alpha' must have 6 [re, im] pairs"),
+    ({"alpha": "123456"}, "'alpha' must have 6 [re, im] pairs"),
+    ({"alpha": [1, 2, 3, 4, 5, 6]},
+     "'alpha' must have 6 [re, im] pairs of real numbers, got 1"),
+    ({"alpha": [[1, 0, 0]] + SIX_PAIRS[1:]},
+     "'alpha' must have 6 [re, im] pairs of real numbers, got [1, 0, 0]"),
+    ({"alpha": [[1, "0"]] + SIX_PAIRS[1:]},
+     "'alpha' must have 6 [re, im] pairs of real numbers, got [1, '0']"),
+    ({"alpha": [[True, 0]] + SIX_PAIRS[1:]},
+     "'alpha' must have 6 [re, im] pairs of real numbers, got [True, 0]"),
+    ({"alpha": SIX_PAIRS, "n0": [2]}, "'n0' must be a real number, got [2]"),
+    ({"alpha": SIX_PAIRS, "n0": "2"}, "'n0' must be a real number, got '2'"),
+    ({"alpha": SIX_PAIRS, "n0": None}, "'n0' must be a real number, got None"),
+])
+def test_load_state_refuses_a_file_of_the_wrong_shape(tmp_path, obj, message):
+    path = tmp_path / "state.json"
+    path.write_text(ser.json_text(obj))
+    with pytest.raises(ValueError) as err:
+        ser.load_state(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_state_takes_integer_pairs_and_n0(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(ser.json_text({"alpha": SIX_PAIRS, "n0": 2}))
+    s = ser.load_state(str(path))
+    assert s.n0 == 2.0 and s.alpha[0] == 1.0
+
+
 # -------------------------------------------------------------- arrays
 
 

@@ -388,6 +388,38 @@ def test_correspondence_residual_property(adjoint, s, axis, angle):
     assert resid < 1e-10
 
 
+@PROPERTY
+@given(axis=unit_axes(), angle=hs.floats(-10.0, 10.0, allow_nan=False))
+def test_exp_adjoint_matches_scipy_expm(adjoint, axis, angle):
+    from scipy.linalg import expm
+
+    gen = np.einsum("l,lmn->mn", axis, adjoint.matrices)
+    assert np.max(np.abs(alg.exp_adjoint(adjoint, axis, angle)
+                         - expm(gen * angle))) < 1e-13
+
+
+def test_cold_and_warm_transports_give_the_same_residual_bits(adjoint):
+    basis = alg.su6_basis()
+    s = st.named_state("dipolar")
+    axis = np.random.default_rng(RNG_SEED + 2).normal(size=35)
+    st._transports.cache_clear()
+    cold = st.correspondence_residual(s, axis, 0.7, basis, adjoint)
+    warm = st.correspondence_residual(s, axis, 0.7, basis, adjoint)
+    assert st._transports.cache_info()[:2] == (1, 1)  # hits, misses
+    assert np.float64(warm).tobytes() == np.float64(cold).tobytes()
+
+
+def test_an_equal_adjoint_does_not_hit_another_objects_transports(adjoint):
+    basis = alg.su6_basis()
+    s = st.named_state("neel_out")
+    axis = np.ones(35)
+    twin = alg.AdjointRep(adjoint.matrices.copy(), adjoint.closure_constant)
+    st._transports.cache_clear()
+    st.correspondence_residual(s, axis, 0.3, basis, adjoint)
+    st.correspondence_residual(s, axis, 0.3, basis, twin)
+    assert st._transports.cache_info()[:2] == (0, 2)
+
+
 def test_subsphere_enumeration_partitions_all_pairs():
     subs = st.enumerate_subspheres()
     assert len(subs) == 15
