@@ -55,9 +55,10 @@ validated and echoed into the trajectory sidecar; it selects no output
 fixed element operator once and rebuilds only the swept one per frame.
 
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
-that break these rules (non-finite numbers, a reflect other than A or B)
-when built; ``parse_bench`` re-raises a refusal at its line.  A run's
-input is ``input_state`` or the named input state.
+that break these rules (non-finite numbers, a reflect other than A or B,
+arms or reflect=A without a split) when built; ``parse_bench`` re-raises
+a refusal at its line.  A run's input is ``input_state`` or the named
+input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -212,6 +213,8 @@ class BenchDescription:
 
     def __post_init__(self) -> None:
         _check_reflect(self.reflect)
+        if not self.split and (self.arm_a or self.arm_b or self.reflect != "B"):
+            raise ValueError("arm elements and reflect=A need a split")
 
     def all_elements(self) -> tuple[OpticalElement, ...]:
         return self.pre + self.arm_a + self.arm_b
@@ -619,14 +622,10 @@ def _input_state(bench: BenchDescription,
     return named_state(bench.input_state)
 
 
-def _sections(bench: BenchDescription) -> tuple[tuple[OpticalElement, ...], ...]:
-    # (pre, arm A, arm B); the arms act only behind a splitter
-    return (bench.pre, bench.arm_a, bench.arm_b) if bench.split else (bench.pre, (), ())
-
-
 def _operators(bench: BenchDescription) -> list[list[np.ndarray]]:
     """Element operators of the bench as [pre, arm A, arm B], in bench order."""
-    return [[element_operator(e) for e in elems] for elems in _sections(bench)]
+    return [[element_operator(e) for e in elems]
+            for elems in (bench.pre, bench.arm_a, bench.arm_b)]
 
 
 def _propagate(
@@ -714,7 +713,7 @@ def run_sweep(
     ops = _operators(bench)
     swept = [
         (row, i, e)
-        for row, elems in zip(ops, _sections(bench))
+        for row, elems in zip(ops, (bench.pre, bench.arm_a, bench.arm_b))
         for i, e in enumerate(elems)
         if e.element_id == spec.element_id
     ]

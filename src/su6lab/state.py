@@ -138,10 +138,7 @@ def all_expectations(state: CoherentState,
                      basis: algebra.GeneratorBasis | None = None) -> np.ndarray:
     """The full 35-component observable vector, norm N0*sqrt(5/3)."""
     basis = basis or algebra.su6_basis()
-    vals = np.einsum(
-        "lij,i,j->l", basis.matrices, state.alpha.conj(), state.alpha
-    )
-    return state.n0 * vals.real
+    return state.n0 * _unit_coords(state, basis.matrices)
 
 
 def apply_unitary(state: CoherentState, u: np.ndarray) -> CoherentState:
@@ -181,23 +178,27 @@ def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float
 
 
 def _unit_coords(state: CoherentState, triple: np.ndarray) -> np.ndarray:
-    """Expectations of a generator triple per photon (N0 = 1)."""
+    """Expectations per photon (N0 = 1) of a stack of generators."""
     a = state.alpha
     return np.einsum("kij,i,j->k", triple, a.conj(), a).real
 
 
 def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> SpherePoint:
-    # the degeneracy thresholds scale with N0, so the angles do not depend on it
-    coords = state.n0 * _unit_coords(state, triple)
+    # the degeneracy thresholds scale with N0, so the angles do not depend on
+    # it; outside [1e-100, 1e100] the norm of the scaled coordinates can
+    # overflow or underflow, so there the angles come from the N0 = 1 ones
+    unit = _unit_coords(state, triple)
+    coords = state.n0 * unit
     coords.setflags(write=False)
-    r = float(np.linalg.norm(coords))
-    if r < 1e-14 * state.n0:
+    n0, c = (state.n0, coords) if 1e-100 <= state.n0 <= 1e100 else (1.0, unit)
+    r = float(np.linalg.norm(c))
+    if r < 1e-14 * n0:
         return SpherePoint(kind, coords, 0.0, 0.0, True)
-    theta = float(np.arccos(np.clip(coords[2] / r, -1.0, 1.0)))
-    planar = float(np.hypot(coords[0], coords[1]))
-    if planar < 1e-14 * max(r, state.n0):
+    theta = float(np.arccos(np.clip(c[2] / r, -1.0, 1.0)))
+    planar = float(np.hypot(c[0], c[1]))
+    if planar < 1e-14 * max(r, n0):
         return SpherePoint(kind, coords, theta, 0.0, True)
-    return SpherePoint(kind, coords, theta, float(np.arctan2(coords[1], coords[0])), False)
+    return SpherePoint(kind, coords, theta, float(np.arctan2(c[1], c[0])), False)
 
 
 def skyrmion_sphere(state: CoherentState) -> SpherePoint:
@@ -210,32 +211,25 @@ def antiskyrmion_sphere(state: CoherentState) -> SpherePoint:
     return _triple_point(state, "antiskyrmion", algebra.antiskyrmion_generators())
 
 
-@lru_cache(maxsize=1)
-def _oam_triple() -> np.ndarray:
-    gm = algebra.gell_mann_matrices()
-    triple = np.stack([np.kron(np.eye(2), gm[j]) for j in range(3)])
-    triple.setflags(write=False)
-    return triple
-
-
-@lru_cache(maxsize=1)
-def _pol_triple() -> np.ndarray:
-    pauli = algebra.pauli_matrices()
-    triple = np.stack([np.kron(pauli[i], np.eye(3)) for i in range(3)])
-    triple.setflags(write=False)
-    return triple
+# the orbital triple is lambda_1..3 on (L, R) at either spin, the
+# polarization triple the Pauli matrices across the spins of each orbital mode
+_OAM_TRIPLE = algebra.pair_triple(1, 2) + algebra.pair_triple(4, 5)
+_POL_TRIPLE = (algebra.pair_triple(1, 4) + algebra.pair_triple(2, 5)
+               + algebra.pair_triple(3, 6))
+_OAM_TRIPLE.setflags(write=False)
+_POL_TRIPLE.setflags(write=False)
 
 
 def oam_sphere(state: CoherentState) -> SpherePoint:
     """Orbital-chirality sphere: su(2) on the (L, R) pair for either spin,
     zero on the fundamental mode.  Opposite hedgehogs land on the same
     point here, which is the orbital degeneracy of the texture family."""
-    return _triple_point(state, "oam", _oam_triple())
+    return _triple_point(state, "oam", _OAM_TRIPLE)
 
 
 def polarization_sphere(state: CoherentState) -> SpherePoint:
     """Total polarization (Stokes) vector, traced over the orbital modes."""
-    return _triple_point(state, "polarization", _pol_triple())
+    return _triple_point(state, "polarization", _POL_TRIPLE)
 
 
 def su2_state(theta: float, phi: float, kind: str = "skyrmion",

@@ -1,7 +1,18 @@
 """Shared pytest hooks: a one-line pass/fail report per acceptance
-criterion printed after the run."""
+criterion printed after the run, and the environment of the Python child
+processes that some tests start."""
+import os
+from pathlib import Path
 
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 _acceptance = {}
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with the package source directory first on PYTHONPATH,
+    so a child process imports su6lab from this checkout, installed or not."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": _SRC + (os.pathsep + path if path else "")}
 
 
 def pytest_runtest_logreport(report):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from su6lab import algebra as alg
 
@@ -281,6 +283,20 @@ def test_pair_triple_is_cached_and_read_only():
     assert alg.skyrmion_generators() is alg.pair_triple(3, 4)
 
 
+def test_pair_triples_equal_the_entry_by_entry_build_bit_for_bit():
+    # the six entries set one by one, as the triple was first assembled
+    for i in range(1, 6):
+        for j in range(i + 1, 7):
+            a, b = i - 1, j - 1
+            t = np.zeros((3, 6, 6), dtype=complex)
+            t[0, a, b] = t[0, b, a] = 1.0
+            t[1, a, b] = -1j
+            t[1, b, a] = 1j
+            t[2, a, a] = 1.0
+            t[2, b, b] = -1.0
+            assert alg.pair_triple(i, j).tobytes() == t.tobytes()
+
+
 def test_out_of_range_pair_raises_on_every_call():
     for bad in ((4, 3), (0, 1), (5, 7), (2, 2)):
         for _ in range(3):  # a refusal is never cached
@@ -294,16 +310,53 @@ def test_adjoint_matrices_reject_zero_or_nonfinite_constants():
             alg.adjoint_matrices(g)
 
 
-def test_adjoint_closure_failure_reports_the_fitted_residual():
-    g = alg.structure_constants().copy()
-    g[0, 1, 2] += 1e-3
+def _adjoint_rows_from_full_tensors(g):
+    """|c - 1| and max|lhs - rhs| of [G_l, G_m] = c sum_n g_lmn G_n with
+    G = -g, from the whole 35^4 sides."""
     G = -g
     lhs = np.einsum("lab,mbc->lmac", G, G) - np.einsum("mab,lbc->lmac", G, G)
     rhs = np.einsum("lmn,nac->lmac", g, G)
     c = np.sum(lhs * rhs) / np.sum(rhs * rhs)
-    resid = np.max(np.abs(lhs - c * rhs))
-    with pytest.raises(RuntimeError, match=f"residual {resid:.3e} > 1.0e-10"):
+    return abs(c - 1.0), np.max(np.abs(lhs - rhs))
+
+
+def test_adjoint_closure_failure_reports_the_fitted_residual():
+    # the guard names the first adjoint row of the verify table that fails,
+    # with its residual and its bound
+    for step, k, row in ((1e-3, 0, "adjoint_closure_constant"),
+                         (1e-7, 1, "adjoint_closure")):
+        g = alg.structure_constants().copy()
+        g[0, 1, 2] += step
+        resid = _adjoint_rows_from_full_tensors(g)[k]
+        message = f"adjoint closure failed: {row} residual {resid:.3e} > 1.0e-10"
+        with pytest.raises(RuntimeError) as err:
+            alg.adjoint_matrices(g)
+        assert str(err.value) == message
+
+
+def test_verify_table_and_adjoint_guard_read_the_same_rows():
+    g = alg.structure_constants()
+    table = alg.invariant_residuals()[-2:]
+    assert [name for name, _, _ in table] == ["adjoint_closure_constant",
+                                              "adjoint_closure"]
+    assert alg._adjoint_closure(g)[1] == table
+    assert abs(alg.adjoint_matrices(g).closure_constant - 1.0) == table[0][1]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(exponent=hs.floats(-14.0, -3.0), sign=hs.sampled_from([-1.0, 1.0]),
+       index=hs.tuples(*[hs.integers(0, 34)] * 3))
+def test_adjoint_guard_refuses_exactly_when_a_verify_row_fails(exponent, sign,
+                                                               index):
+    g = alg.structure_constants().copy()
+    g[index] += sign * 10.0 ** exponent
+    refused = max(_adjoint_rows_from_full_tensors(g)) > alg.CLOSURE_TOL
+    try:
         alg.adjoint_matrices(g)
+    except RuntimeError:
+        assert refused
+    else:
+        assert not refused
 
 
 def test_pair_triples_close_like_pauli_matrices():

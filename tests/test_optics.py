@@ -190,6 +190,18 @@ def test_bench_refuses_a_reflect_other_than_a_or_b(reflect):
     assert str(err.value) == f"reflect must be A or B, got {reflect!r}"
 
 
+@pytest.mark.parametrize("fields", [
+    {"arm_a": (elem("HWP", angle=10.0, element_id="HA"),)},
+    {"arm_b": (elem("MIRROR", element_id="MB"),)},
+    {"reflect": "A"},
+])
+def test_bench_refuses_arms_or_reflect_a_without_a_split(fields):
+    # unrefused, the arms would not run and serialize_bench would drop them
+    with pytest.raises(ValueError) as err:
+        op.BenchDescription("x", "h_gaussian", **fields)
+    assert str(err.value) == "arm elements and reflect=A need a split"
+
+
 # ---------------------------------------------------------------- parser
 
 VALID_BENCH = """\

@@ -6,6 +6,8 @@ checked against direct numpy arithmetic done here in the tests.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -173,6 +175,20 @@ def test_labels_and_sphere_angles_do_not_depend_on_photon_number(name, n0):
         assert got.degenerate_azimuth == want.degenerate_azimuth
         assert (got.theta, got.phi) == pytest.approx((want.theta, want.phi),
                                                      abs=1e-12)
+
+
+@pytest.mark.parametrize("n0", [1e160, 1e-160, 1e-200, 1e300])
+def test_sphere_angles_at_extreme_photon_numbers_equal_those_at_one(n0):
+    # the norm of the scaled coordinates would overflow or underflow here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in st.state_names():
+            at_one, scaled = st.named_state(name), st.named_state(name, n0=n0)
+            for sphere in (st.skyrmion_sphere, st.antiskyrmion_sphere,
+                           st.oam_sphere, st.polarization_sphere):
+                want, got = sphere(at_one), sphere(scaled)
+                assert ((got.theta, got.phi, got.degenerate_azimuth)
+                        == (want.theta, want.phi, want.degenerate_azimuth))
 
 
 def test_apply_unitary_refuses_a_matrix_of_another_size():
@@ -368,6 +384,16 @@ def unit_axes(draw):
     return axis / norm
 
 
+@hs.composite
+def sparse_states(draw):
+    """Random amplitudes with about half of them zeroed, at N0 of 1, 2.5 or 1000."""
+    parts = np.array(draw(hs.lists(UNIT, min_size=12, max_size=12)))
+    zeroed = np.array(draw(hs.lists(hs.booleans(), min_size=6, max_size=6)))
+    a = np.where(zeroed, 0.0, parts[:6] + 1j * parts[6:])
+    assume(np.linalg.norm(a) >= 1e-3)
+    return st.CoherentState(a, n0=draw(hs.sampled_from([1.0, 2.5, 1000.0])))
+
+
 @pytest.fixture(scope="module")
 def adjoint():
     return alg.adjoint_matrices(alg.structure_constants())
@@ -378,6 +404,27 @@ def adjoint():
 def test_observable_vector_radius_property(s):
     radius = np.linalg.norm(st.all_expectations(s))
     assert radius == pytest.approx(s.n0 * np.sqrt(5.0 / 3.0), rel=1e-12)
+
+
+# the orbital and polarization triples as Kronecker products of the su(2)
+# and su(3) factors, and the observable vector as one einsum
+_KRON_OAM = np.stack([np.kron(np.eye(2), alg.gell_mann_matrices()[j])
+                      for j in range(3)])
+_KRON_POL = np.stack([np.kron(alg.pauli_matrices()[i], np.eye(3))
+                      for i in range(3)])
+
+
+@PROPERTY
+@given(sparse_states())
+def test_sphere_coordinates_and_expectations_match_the_kron_reference(s):
+    a = s.alpha
+    for sphere, triple in ((st.oam_sphere, _KRON_OAM),
+                           (st.polarization_sphere, _KRON_POL)):
+        want = s.n0 * np.einsum("kij,i,j->k", triple, a.conj(), a).real
+        assert sphere(s).coords.tobytes() == want.tobytes()
+    mats = alg.su6_basis().matrices
+    want = s.n0 * np.einsum("lij,i,j->l", mats, a.conj(), a).real
+    assert st.all_expectations(s).tobytes() == want.tobytes()
 
 
 @PROPERTY
