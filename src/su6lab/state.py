@@ -184,21 +184,19 @@ def _unit_coords(state: CoherentState, triple: np.ndarray) -> np.ndarray:
 
 
 def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> SpherePoint:
-    # the degeneracy thresholds scale with N0, so the angles do not depend on
-    # it; outside [1e-100, 1e100] the norm of the scaled coordinates can
-    # overflow or underflow, so there the angles come from the N0 = 1 ones
+    # the angles come from the N0 = 1 coordinates, so they do not depend on
+    # N0 and the norm cannot overflow or underflow at an extreme N0
     unit = _unit_coords(state, triple)
     coords = state.n0 * unit
     coords.setflags(write=False)
-    n0, c = (state.n0, coords) if 1e-100 <= state.n0 <= 1e100 else (1.0, unit)
-    r = float(np.linalg.norm(c))
-    if r < 1e-14 * n0:
+    r = float(np.linalg.norm(unit))
+    if r < 1e-14:
         return SpherePoint(kind, coords, 0.0, 0.0, True)
-    theta = float(np.arccos(np.clip(c[2] / r, -1.0, 1.0)))
-    planar = float(np.hypot(c[0], c[1]))
-    if planar < 1e-14 * max(r, n0):
+    theta = float(np.arccos(np.clip(unit[2] / r, -1.0, 1.0)))
+    planar = float(np.hypot(unit[0], unit[1]))
+    if planar < 1e-14 * max(r, 1.0):
         return SpherePoint(kind, coords, theta, 0.0, True)
-    return SpherePoint(kind, coords, theta, float(np.arctan2(c[1], c[0])), False)
+    return SpherePoint(kind, coords, theta, float(np.arctan2(unit[1], unit[0])), False)
 
 
 def skyrmion_sphere(state: CoherentState) -> SpherePoint:

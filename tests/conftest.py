@@ -1,18 +1,15 @@
 """Shared pytest hooks: a one-line pass/fail report per acceptance
-criterion printed after the run, and the environment of the Python child
-processes that some tests start."""
+criterion printed after the run, and the source path that the Python child processes
+of some tests inherit."""
 import os
 from pathlib import Path
 
+# the package source directory goes first on PYTHONPATH, so the Python
+# children that some tests start import su6lab from this checkout too
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
+_path = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = _SRC + (os.pathsep + _path if _path else "")
 _acceptance = {}
-
-
-def child_env() -> dict[str, str]:
-    """os.environ with the package source directory first on PYTHONPATH,
-    so a child process imports su6lab from this checkout, installed or not."""
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": _SRC + (os.pathsep + path if path else "")}
 
 
 def pytest_runtest_logreport(report):

@@ -13,7 +13,6 @@ import su6lab.algebra as alg
 import su6lab.optics as op
 import su6lab.serialize as ser
 import su6lab.state as st
-from conftest import child_env
 from su6lab.cli import main
 
 
@@ -440,7 +439,7 @@ def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "su6lab.cli", "state", "eval",
          "--state", "neel_out"],
-        capture_output=True, text=True, timeout=120, env=child_env(),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hypersphere_norm"] == pytest.approx(
@@ -457,7 +456,7 @@ def test_field_render_leaves_scipy_ndimage_unloaded(tmp_path):
             "'--bubble', '32,64']); "
             "print(code, 'scipy.ndimage' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=child_env())
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 
@@ -488,7 +487,7 @@ def test_cli_import_leaves_scipy_submodules_unloaded(tmp_path):
             f"    seen.append([main([*argv, '--out', {str(tmp_path)!r}]), loaded()])\n"
             "print(json.dumps([seen, runs]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300, env=child_env())
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen, runs = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [[]] + [[0, []]] * len(commands)
@@ -502,7 +501,7 @@ def test_grid_flag_leaves_field_unloaded(tmp_path):
             f"'--out', {str(tmp_path)!r}]); "
             "print(code, 'su6lab.field' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=child_env())
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
 
@@ -515,7 +514,7 @@ def test_algebra_and_state_commands_leave_field_and_optics_unloaded(tmp_path):
             "print(codes, sorted(m for m in ('su6lab.field', 'su6lab.optics') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=child_env())
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
@@ -526,7 +525,7 @@ def test_package_resolves_every_public_name():
             "if getattr(su6lab, n) is not getattr(importlib.import_module("
             "getattr(su6lab, n).__module__), n)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env=child_env())
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -544,8 +543,7 @@ def test_bench_commands_load_field_only_for_sweep_fields(tmp_path):
             "print([(main(argv + ['--out', out]), 'su6lab.field' in sys.modules) "
             "for argv in runs])")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, timeout=120,
-                          env=child_env())
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[(0, False), (0, False), (0, True)]"
 

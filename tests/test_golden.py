@@ -15,7 +15,6 @@ import sys
 
 import pytest
 
-from conftest import child_env
 from su6lab.cli import main
 from test_acceptance import RECIPES
 
@@ -179,6 +178,6 @@ for k, recipe in enumerate({RECIPES!r}):
 print(json.dumps(got))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300, env=child_env())
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == GOLDEN

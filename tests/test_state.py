@@ -177,9 +177,10 @@ def test_labels_and_sphere_angles_do_not_depend_on_photon_number(name, n0):
                                                      abs=1e-12)
 
 
-@pytest.mark.parametrize("n0", [1e160, 1e-160, 1e-200, 1e300])
-def test_sphere_angles_at_extreme_photon_numbers_equal_those_at_one(n0):
-    # the norm of the scaled coordinates would overflow or underflow here
+@pytest.mark.parametrize("n0", [2.5, 1000.0, 1e160, 1e-160, 1e-200, 1e300])
+def test_sphere_angles_at_any_photon_number_equal_those_at_one(n0):
+    # bit for bit; at the extremes the norm of the scaled coordinates would
+    # overflow or underflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name in st.state_names():
@@ -189,6 +190,25 @@ def test_sphere_angles_at_extreme_photon_numbers_equal_those_at_one(n0):
                 want, got = sphere(at_one), sphere(scaled)
                 assert ((got.theta, got.phi, got.degenerate_azimuth)
                         == (want.theta, want.phi, want.degenerate_azimuth))
+
+
+@pytest.mark.parametrize("n0", [2.5, 1000.0])
+def test_sphere_angles_of_random_states_equal_those_at_one(n0):
+    # bit for bit, for amplitudes whose coordinates are not exact binary
+    # fractions, with about half of them zeroed on every other state
+    rng = np.random.default_rng(RNG_SEED)
+    for k in range(200):
+        a = rng.normal(size=6) + 1j * rng.normal(size=6)
+        if k % 2:
+            a[rng.random(6) < 0.5] = 0
+        if not a.any():
+            continue
+        at_one, scaled = st.CoherentState(a), st.CoherentState(a, n0=n0)
+        for sphere in (st.skyrmion_sphere, st.antiskyrmion_sphere,
+                       st.oam_sphere, st.polarization_sphere):
+            want, got = sphere(at_one), sphere(scaled)
+            assert ((got.theta, got.phi, got.degenerate_azimuth)
+                    == (want.theta, want.phi, want.degenerate_azimuth))
 
 
 def test_apply_unitary_refuses_a_matrix_of_another_size():
