@@ -37,10 +37,16 @@ EDT (exact Euclidean distance transform), never on the saturated map, so
 no stencil straddles the closure step.  Only the dark pixels that a
 stencil of the charge reads are continued, and only when there are some.
 
-The topology kernels work on the three component planes of the texture,
-strip by strip, and repeat the arithmetic of np.einsum and np.cross on
-(..., 3) vectors term for term, so each charge is the same float as the
-vector formulas give.
+Synthesis, the Stokes fields, the bubble map's bin indices and both
+charge kernels run strip by strip of 32 rows, so their temporaries stay
+small.  The charge kernels work on the three component planes of the
+texture and repeat the arithmetic of np.einsum and np.cross on (..., 3)
+vectors term for term, so each charge is the same float as the vector
+formulas give.  They run only over the column span of the disk in each
+strip: the plaquettes no disk pixel touches all have the saturation
+direction at their four corners and take its constant solid angle, and
+the density is read on defined disk pixels only.  The closed texture is
+built one window at a time, never as a whole padded copy.
 """
 from __future__ import annotations
 
@@ -71,7 +77,11 @@ __all__ = [
 ]
 
 _S0_CUTOFF = 1e-12
-_STRIP = 32  # rows per block of the topology kernels
+_STRIP = 32  # rows per block of the field and topology kernels
+
+
+def _row_strips(size):
+    return (slice(i, i + _STRIP) for i in range(0, size, _STRIP))
 
 
 @dataclass(frozen=True)
@@ -219,12 +229,12 @@ def synthesize(
     """Field pair (E_left, E_right) of the circular polarizations."""
     modes = _mode_stack(grid, waist)
     a = state.alpha
-    e_left = a[0] * modes[0]
-    e_left += a[1] * modes[1]
-    e_left += a[2] * modes[2]
-    e_right = a[3] * modes[0]
-    e_right += a[4] * modes[1]
-    e_right += a[5] * modes[2]
+    e_left, e_right = np.empty((2, grid.size, grid.size), dtype=complex)
+    for rows in _row_strips(grid.size):
+        for e, amps in ((e_left, a[:3]), (e_right, a[3:])):
+            np.multiply(amps[0], modes[0][rows], out=e[rows])
+            e[rows] += amps[1] * modes[1][rows]
+            e[rows] += amps[2] * modes[2][rows]
     return e_left, e_right
 
 
@@ -243,13 +253,15 @@ def stokes_fields(
         raise ValueError(
             f"field shape {e_left.shape} does not match the grid {shape}"
         )
-    il = np.abs(e_left) ** 2
-    ir = np.abs(e_right) ** 2
-    cross = np.conj(e_left) * e_right
-    s0 = il + ir
-    s1 = 2.0 * np.real(cross)
-    s2 = 2.0 * np.imag(cross)
-    s3 = np.subtract(il, ir, out=il)
+    s0, s1, s2, s3 = np.empty((4,) + shape)
+    for rows in _row_strips(grid.size):
+        il = np.abs(e_left[rows]) ** 2
+        ir = np.abs(e_right[rows]) ** 2
+        cross = np.conj(e_left[rows]) * e_right[rows]
+        np.add(il, ir, out=s0[rows])
+        np.multiply(2.0, np.real(cross), out=s1[rows])
+        np.multiply(2.0, np.imag(cross), out=s2[rows])
+        np.subtract(il, ir, out=s3[rows])
     mask = s0 > _S0_CUTOFF * s0.max()
     n = np.moveaxis(np.zeros((3,) + shape), 0, -1)
     for k, s in enumerate((s1, s2, s3)):
@@ -265,58 +277,85 @@ def stokes_fields(
 # Vector fields here are (3, rows, cols) stacks of component planes.  The
 # dot and cross products below repeat, term for term, the arithmetic of
 # np.einsum("...i,...i->...") and np.cross on (..., 3) arrays, so every
-# value matches those formulas bit for bit.
+# value matches those formulas bit for bit.  The kernels lay the rows of a
+# window end to end, so a step to the right is one flat entry, a step down
+# is one row length, and every operand is one contiguous run; the entries
+# whose step wraps past a row end are dropped or overwritten.
 
 
 def _dot(u, v):
     # einsum sums a three-term dot product as (p0 + p2) + p1
-    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+    out = u[0] * v[0]
+    out += u[2] * v[2]
+    out += u[1] * v[1]
+    return out
 
 
 def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    out = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        w = u[i] * v[j]
+        w -= u[j] * v[i]
+        out.append(w)
+    return out
 
 
 def _plaquette_solid_angles(spins):
     # plaquette corners a b / d c, split into triangles (a, b, c) and
-    # (a, c, d); each edge dot product is taken once for both triangles
-    a = spins[:, :-1, :-1]
-    b = spins[:, :-1, 1:]
-    c = spins[:, 1:, 1:]
-    d = spins[:, 1:, :-1]
-    horiz = _dot(spins[:, :, :-1], spins[:, :, 1:])
-    vert = _dot(spins[:, :-1], spins[:, 1:])
+    # (a, c, d); each edge dot product is taken once for both triangles.
+    # The plaquette at flat entry k has its corners at k, k + 1,
+    # k + cols + 1 and k + cols
+    rows, cols = spins.shape[1:]
+    flat = np.ascontiguousarray(spins).reshape(3, -1)
+    m = (rows - 1) * cols - 1
+    a, b, c, d = flat[:, :m], flat[:, 1:m + 1], flat[:, cols + 1:], flat[:, cols:-1]
+    horiz = _dot(flat[:, :-1], flat[:, 1:])
+    vert = _dot(flat[:, :-cols], flat[:, cols:])
     diag = _dot(a, c)
-    abc = np.arctan2(_dot(a, _cross(b, c)), 1.0 + horiz[:-1] + vert[:, 1:] + diag)
-    acd = np.arctan2(_dot(a, _cross(c, d)), 1.0 + diag + horiz[1:] + vert[:, :-1])
-    return 2.0 * abc + 2.0 * acd
+    abc = np.arctan2(_dot(a, _cross(b, c)), 1.0 + horiz[:m] + vert[1:] + diag)
+    acd = np.arctan2(_dot(a, _cross(c, d)), 1.0 + diag + horiz[cols:] + vert[:m])
+    omega = np.empty((rows - 1) * cols)
+    np.multiply(2.0, abc, out=omega[:m])
+    acd *= 2.0
+    omega[:m] += acd
+    return omega.reshape(rows - 1, cols)[:, :-1]
 
 
-def _by_strips(kernel, out, values, before, after):
-    # out[i] = kernel(values rows i - before .. i + after)[i], one strip of
-    # rows at a time so the kernel's temporaries stay in cache; the window
-    # is clipped at the edges, where the kernel applies its border rules
+def _by_strips(kernel, out, values, before, after, active=None):
+    # out[i, j] = kernel(values rows i - before .. i + after, columns
+    # j - before .. j + after)[i, j], one strip of rows at a time so the
+    # kernel's temporaries stay in cache.  A strip spans only the columns of
+    # its active cells (all by default); cells outside keep what the caller
+    # put in out.  The window is clipped at the grid edge, never at the
+    # span's, so the kernel applies its border rules where they belong
     for i in range(0, out.shape[0], _STRIP):
-        lo = max(i - before, 0)
-        out[i:i + _STRIP] = kernel(values[:, lo:i + _STRIP + after])[
-            i - lo:i - lo + _STRIP
-        ]
+        c0, c1 = 0, out.shape[1]
+        if active is not None:
+            cols = np.flatnonzero(active[i:i + _STRIP].any(axis=0))
+            if not cols.size:
+                continue
+            c0, c1 = cols[0], cols[-1] + 1
+        lo, left = max(i - before, 0), max(c0 - before, 0)
+        out[i:i + _STRIP, c0:c1] = kernel(
+            values[:, lo:i + _STRIP + after, left:c1 + after]
+        )[i - lo:i - lo + _STRIP, c0 - left:c1 - left]
     return out
 
 
-def _central_diff(values, spacing, axis):
-    # fourth-order symmetric stencil; the two-pixel border where it does
-    # not fit takes np.gradient's formulas, one-sided at the edge
-    grad = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    g = np.moveaxis(grad, axis, 0)
-    g[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (
-        12.0 * spacing
-    )
+def _central_diff(flat, shape, spacing, axis):
+    # fourth-order symmetric stencil along one axis of the flat planes; the
+    # two-pixel border where it does not fit takes np.gradient's formulas,
+    # one-sided at the edge
+    step = shape[2] if axis == 1 else 1
+    grad = np.empty_like(flat)
+    inner = grad[:, 2 * step:-2 * step]
+    np.multiply(8.0, flat[:, step:-3 * step], out=inner)
+    np.subtract(flat[:, :-4 * step], inner, out=inner)
+    inner += 8.0 * flat[:, 3 * step:-step]
+    inner -= flat[:, 4 * step:]
+    inner /= 12.0 * spacing
+    v = np.moveaxis(flat.reshape(shape), axis, 0)
+    g = np.moveaxis(grad.reshape(shape), axis, 0)
     g[0] = (v[1] - v[0]) / spacing
     g[1] = (v[2] - v[0]) / (2.0 * spacing)
     g[-2] = (v[-1] - v[-3]) / (2.0 * spacing)
@@ -326,9 +365,12 @@ def _central_diff(values, spacing, axis):
 
 def _charge_density(spins, spacing):
     # rho = n . (dn/dx x dn/dy) / 4pi
-    gx = _central_diff(spins, spacing, axis=2)
-    gy = _central_diff(spins, spacing, axis=1)
-    return _dot(spins, _cross(gx, gy)) / (4.0 * np.pi)
+    flat = np.ascontiguousarray(spins).reshape(3, -1)
+    gx = _central_diff(flat, spins.shape, spacing, axis=2)
+    gy = _central_diff(flat, spins.shape, spacing, axis=1)
+    rho = _dot(flat, _cross(gx, gy))
+    rho /= 4.0 * np.pi
+    return rho.reshape(spins.shape[1:])
 
 
 # the 13 offsets within two pixels, +2 into a 2-padded grid, nearest first and
@@ -351,6 +393,8 @@ def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     # pixels along the row and the column, so only the dark pixels in that
     # reach are filled, each from a mask pixel at most two away
     spins = np.moveaxis(sf.n, -1, 0)
+    if sf.mask.all():
+        return spins
     reach = mask.copy()
     for s in (1, 2):
         reach[s:] |= mask[:-s]
@@ -365,20 +409,44 @@ def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     return continued
 
 
+class _ClosedTexture:
+    """The texture closed at n_sat outside the mask, on the grid grown by
+    one ring of n_sat past the edge.  Indexed [:, rows, cols] in the grown
+    grid, it builds just that window, so no closed copy of the grid is made."""
+
+    def __init__(self, planes, mask, n_sat):
+        self.planes, self.mask, self.n_sat = planes, mask, n_sat
+
+    def __getitem__(self, index):
+        _, rows, cols = index
+        size = self.mask.shape[0]
+        (r0, r1, _), (c0, c1, _) = rows.indices(size + 2), cols.indices(size + 2)
+        window = np.empty((3, r1 - r0, c1 - c0))
+        window[:] = self.n_sat[:, None, None]
+        # the grid pixels in the window; grid index = grown index - 1
+        gr = slice(max(r0 - 1, 0), min(r1 - 1, size))
+        gc = slice(max(c0 - 1, 0), min(c1 - 1, size))
+        np.copyto(window[:, gr.start + 1 - r0:gr.stop + 1 - r0,
+                         gc.start + 1 - c0:gc.stop + 1 - c0],
+                  self.planes[:, gr, gc], where=self.mask[gr, gc])
+        return window
+
+
 def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     grid = sf.grid
     disk = grid.rr <= disk_radius
-    if not disk.any():
+    n_disk = np.count_nonzero(disk)
+    if not n_disk:
         raise ValueError("integration disk contains no grid pixels")
-    undefined = disk & ~sf.mask
-    undefined_fraction = float(undefined.sum() / disk.sum())
-    if undefined.sum() > 0.25 * disk.sum():
-        pct = round(100.0 * undefined.sum() / disk.sum())
+    mask = disk & sf.mask
+    n_undefined = n_disk - np.count_nonzero(mask)
+    undefined_fraction = n_undefined / n_disk
+    if n_undefined > 0.25 * n_disk:
+        pct = round(100.0 * n_undefined / n_disk)
         raise ValueError(
             f"spin texture undefined on {pct}% of the disk pixels; "
             "shrink the disk or raise the intensity"
         )
-    mask = disk & sf.mask
 
     inner = np.zeros_like(mask)
     inner[1:-1, 1:-1] = (
@@ -399,14 +467,15 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
             "disk boundary cuts the texture and its charge is undefined"
         )
 
-    # the closed texture: n_sat outside the mask and one ring past the edge
-    padded = np.empty((3, grid.size + 2, grid.size + 2))
-    for k in range(3):
-        padded[k] = n_sat[k]
-        np.copyto(padded[k, 1:-1, 1:-1], sf.n[..., k], where=mask)
+    # a plaquette with no corner in the mask has four n_sat corners, so only
+    # the plaquettes the mask touches are computed; the rest take the
+    # kernel's value on one constant patch, down to the sign of a zero
+    closed = _ClosedTexture(np.moveaxis(sf.n, -1, 0), mask, n_sat)
+    corners = np.pad(mask, 1)
+    touched = corners[:-1, :-1] | corners[:-1, 1:] | corners[1:, 1:] | corners[1:, :-1]
+    constant = _plaquette_solid_angles(np.broadcast_to(n_sat[:, None, None], (3, 2, 2)))
     omega = _by_strips(_plaquette_solid_angles,
-                       np.empty((grid.size + 1, grid.size + 1)), padded, 0, 1)
-    del padded
+                       np.full(touched.shape, constant[0, 0]), closed, 0, 1, touched)
     bl_total = omega.sum() / (4.0 * np.pi)
 
     interior = (
@@ -419,10 +488,19 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     # defines it, so no stencil straddles the saturation step
     smooth = _continue_past_cutoff(sf, mask)
     h = grid.spacing
+    # the plaquettes below read rho on mask pixels only
     rho = _by_strips(lambda w: _charge_density(w, h),
-                     np.empty((grid.size, grid.size)), smooth, 2, 2)
-    plaq = 0.25 * (rho[:-1, :-1] + rho[:-1, 1:] + rho[1:, 1:] + rho[1:, :-1])
-    fd_interior = (plaq[interior] * h * h).sum()
+                     np.zeros((grid.size, grid.size)), smooth, 2, 2, mask)
+    # 0.25 * (a + b + c + d) * h * h, in place
+    plaq = rho[:-1, :-1] + rho[:-1, 1:]
+    plaq += rho[1:, 1:]
+    plaq += rho[1:, :-1]
+    del rho
+    plaq *= 0.25
+    plaq = plaq[interior]
+    plaq *= h
+    plaq *= h
+    fd_interior = plaq.sum()
 
     closure = bl_total - bl_interior
     n_sat.setflags(write=False)
@@ -508,13 +586,18 @@ def soup_bubble(
     if n_theta < 1 or n_phi < 1:
         raise ValueError(f"bins must be positive, got {bins}")
     sel = (grid.rr <= disk_radius) & sf.mask
-    theta = radial_to_polar(grid.rr[sel], disk_radius, profile)
-    phi = grid.phi[sel]
-    i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
-    i_phi = np.minimum(
-        ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1
-    )
-    flat = i_theta * n_phi + i_phi
+    # the bin of each selected pixel in C order, one strip of rows at a time
+    flat = np.empty(np.count_nonzero(sel), dtype=int)
+    start = 0
+    for rows in _row_strips(grid.size):
+        theta = radial_to_polar(grid.rr[rows][sel[rows]], disk_radius, profile)
+        phi = grid.phi[rows][sel[rows]]
+        i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
+        i_phi = np.minimum(
+            ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1
+        )
+        flat[start:start + theta.size] = i_theta * n_phi + i_phi
+        start += theta.size
     counts = np.bincount(flat, minlength=n_theta * n_phi)
     sums = np.zeros((n_theta * n_phi, 3))
     for k in range(3):

@@ -56,7 +56,8 @@ fixed element operator once and rebuilds only the swept one per frame.
 
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
 that break these rules (non-finite numbers, a reflect other than A or B,
-arms or reflect=A without a split) when built; ``parse_bench`` re-raises
+arms or reflect=A without a split, a name, input token or element id that
+the text cannot hold) when built; ``parse_bench`` re-raises
 a refusal at its line.  A run's input is ``input_state`` or the named
 input state.
 
@@ -152,6 +153,10 @@ class OpticalElement:
             raise ValueError(f"flipped must be True or False, got {self.flipped!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"element angle must be finite, got {self.angle}")
+        eid = self.element_id
+        if eid is not None and not re.fullmatch(r"[^\s/;#]*", eid):
+            raise ValueError("element id must not contain whitespace, '/', ';' or "
+                             f"'#', got {eid!r}")
 
 
 @dataclass(frozen=True)
@@ -212,6 +217,14 @@ class BenchDescription:
     sweeps: tuple[SweepSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        # the name is written between double quotes on one line, the input
+        # token as one word of a statement
+        if '"' in self.name or len(f".{self.name}.".splitlines()) > 1:
+            raise ValueError("bench name must not contain a double quote or a "
+                             f"line break, got {self.name!r}")
+        if not re.fullmatch(r"[^\s;#]+", self.input_state):
+            raise ValueError("input state must be one token without whitespace, "
+                             f"';' or '#', got {self.input_state!r}")
         _check_reflect(self.reflect)
         if not self.split and (self.arm_a or self.arm_b or self.reflect != "B"):
             raise ValueError("arm elements and reflect=A need a split")

@@ -56,6 +56,13 @@ def positive_finite(name: str, value):
     return value
 
 
+def _finite_angles(**angles) -> None:
+    """Refuse the first angle that is not finite (NaN fails), by name."""
+    for name, value in angles.items():
+        if not -np.inf < value < np.inf:
+            raise ValueError(f"angle {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CoherentState:
     """Normalized six-mode amplitude vector with photon-number scale N0."""
@@ -234,6 +241,7 @@ def su2_state(theta: float, phi: float, kind: str = "skyrmion",
               n0: float = 1.0) -> CoherentState:
     """Two-mode superposition at polar angle theta, azimuth phi of the
     skyrmion sphere (pair 3, 4) or antiskyrmion sphere (pair 3, 5)."""
+    _finite_angles(theta=theta, phi=phi)
     if kind == "skyrmion":
         partner = 3
     elif kind == "antiskyrmion":
@@ -252,8 +260,9 @@ def torus_state(theta_p: float, phi_t: float, n0: float = 1.0) -> CoherentState:
 
     theta_p runs over the full poloidal circle: 0 is the skyrmion pair,
     pi the antiskyrmion pair, pi/2 the horizontal dipole and 3 pi/2 the
-    vertical dipole.  Angles are wrapped, so any real input is valid.
+    vertical dipole.  Angles are wrapped, so any finite input is valid.
     """
+    _finite_angles(theta_p=theta_p, phi_t=phi_t)
     a = np.zeros(6, dtype=complex)
     a[2] = 1 / R2
     pair = np.exp(1j * phi_t) / R2

@@ -244,6 +244,58 @@ def test_uniform_polarization_state_has_constant_spin():
     assert np.allclose(sf.n[m], np.array([1.0, 0.0, 0.0]), atol=1e-12)
 
 
+@hs.composite
+def field_cases(draw):
+    """A grid size (some not a multiple of the 32-row strip), six drawn
+    amplitudes with some zeroed, and a block of dark pixels or none."""
+    size = draw(hs.sampled_from([16, 31, 33, 64, 65, 67]) | hs.integers(16, 80))
+    parts = draw(hs.lists(hs.floats(-1.0, 1.0), min_size=12, max_size=12))
+    alpha = np.array(parts[:6]) + 1j * np.array(parts[6:])
+    alpha[draw(hs.lists(hs.integers(0, 5), max_size=5))] = 0.0
+    if not np.any(alpha):
+        alpha[2] = 1.0
+    dark = None
+    if draw(hs.booleans()):
+        r, c = draw(hs.integers(0, size - 1)), draw(hs.integers(0, size - 1))
+        half = draw(hs.integers(0, 3))
+        dark = np.s_[max(r - half, 0):r + half + 1, max(c - half, 0):c + half + 1]
+    return size, alpha, dark
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(field_cases())
+def test_strip_synthesis_and_stokes_match_the_whole_array_formulas(case):
+    size, alpha, dark = case
+    g = fd.TransverseGrid(size=size, extent=3.0)
+    a = st.CoherentState(alpha).alpha
+    modes = [fd.lg_mode(g, m) for m in (1, -1, 0)]
+    e_left = a[0] * modes[0]
+    e_left += a[1] * modes[1]
+    e_left += a[2] * modes[2]
+    e_right = a[3] * modes[0]
+    e_right += a[4] * modes[1]
+    e_right += a[5] * modes[2]
+    got = fd.synthesize(st.CoherentState(alpha), g)
+    assert [e.tobytes() for e in got] == [e_left.tobytes(), e_right.tobytes()]
+
+    if dark is not None:
+        e_left[dark] = e_right[dark] = 0.0
+    il = np.abs(e_left) ** 2
+    ir = np.abs(e_right) ** 2
+    cross = np.conj(e_left) * e_right
+    s0 = il + ir
+    stokes = [s0, 2.0 * np.real(cross), 2.0 * np.imag(cross), il - ir]
+    mask = s0 > 1e-12 * s0.max()
+    n = np.zeros((size, size, 3))
+    for k in range(3):
+        np.divide(stokes[k + 1], s0, out=n[..., k], where=mask)
+    sf = fd.stokes_fields(e_left, e_right, g)
+    assert [x.tobytes() for x in (sf.s0, sf.s1, sf.s2, sf.s3)] == \
+        [x.tobytes() for x in stokes]
+    assert np.ascontiguousarray(sf.n).tobytes() == n.tobytes()
+    assert np.array_equal(sf.mask, mask)
+
+
 # --------------------------------------------------------------- topology
 
 CHARGES = [
@@ -565,6 +617,154 @@ def test_continuation_runs_where_a_stencil_reads_a_dark_pixel(edt_calls):
     assert edt_calls == [1]
     assert report.undefined_fraction > 0.0
     assert report.solid_angle == pytest.approx(1.0, abs=1e-9)
+
+
+def _full_square_charge(sf, disk_radius):
+    """The charge pass with the whole-array vector formulas: the closed
+    texture as one padded copy, the solid angle of every plaquette of the
+    (N + 1)^2 square and the density of every pixel of the N^2 square."""
+    grid = sf.grid
+    disk = grid.rr <= disk_radius
+    if not disk.any():
+        raise ValueError("integration disk contains no grid pixels")
+    undefined = disk & ~sf.mask
+    if undefined.sum() > 0.25 * disk.sum():
+        pct = round(100.0 * undefined.sum() / disk.sum())
+        raise ValueError(
+            f"spin texture undefined on {pct}% of the disk pixels; "
+            "shrink the disk or raise the intensity"
+        )
+    mask = disk & sf.mask
+    inner = np.zeros_like(mask)
+    inner[1:-1, 1:-1] = (mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[2:, 1:-1]
+                         & mask[1:-1, :-2] & mask[1:-1, 2:])
+    rim_spins = sf.n[mask & ~inner]
+    mean = rim_spins.mean(axis=0)
+    scale = np.linalg.norm(mean)
+    n_sat = mean / max(scale, 1e-300)
+    alignment = float(np.min(rim_spins @ n_sat))
+    if scale < 1e-6 or alignment < 0.0:
+        raise ValueError(
+            "rim spins do not saturate toward a common direction; the "
+            "disk boundary cuts the texture and its charge is undefined"
+        )
+    padded = np.empty((grid.size + 2, grid.size + 2, 3))
+    padded[...] = n_sat
+    padded[1:-1, 1:-1][mask] = sf.n[mask]
+    omega = _einsum_plaquettes(padded)
+    bl_total = omega.sum() / (4.0 * np.pi)
+    interior = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, 1:] & mask[1:, :-1]
+    bl_interior = omega[1:-1, 1:-1][interior].sum() / (4.0 * np.pi)
+    spins = np.moveaxis(_always_continued(sf, mask), 0, -1)
+    h = grid.spacing
+    gx = _gradient_diff(spins, h, axis=1)
+    gy = _gradient_diff(spins, h, axis=0)
+    rho = np.einsum("...i,...i->...", spins, np.cross(gx, gy)) / (4.0 * np.pi)
+    plaq = 0.25 * (rho[:-1, :-1] + rho[:-1, 1:] + rho[1:, 1:] + rho[1:, :-1])
+    closure = bl_total - bl_interior
+    return fd.TopologicalCharge(
+        finite_difference=float((plaq[interior] * h * h).sum() + closure),
+        solid_angle=float(bl_total), closure=float(closure), rim_spin=n_sat,
+        rim_alignment=alignment,
+        undefined_fraction=float(undefined.sum() / disk.sum()),
+        disk_radius=disk_radius)
+
+
+def _charge_bits(charge, sf, disk_radius):
+    """Every field of the report as exact text (the sign of a zero too), or
+    the refusal's message."""
+    try:
+        r = charge(sf, disk_radius)
+    except ValueError as err:
+        return str(err)
+    return [float(x).hex() for x in (r.finite_difference, r.solid_angle, r.closure,
+                                     r.rim_alignment, r.undefined_fraction,
+                                     r.disk_radius)] + [r.rim_spin.tobytes()]
+
+
+@hs.composite
+def charge_cases(draw):
+    """A texture from drawn or named amplitudes on a grid of drawn size and
+    extent, maybe with a dark block, and a disk from two pixels to past the
+    corners of the grid."""
+    size, alpha, dark = draw(field_cases())
+    name = draw(hs.sampled_from([None, "neel_out", "bloch_left", "antiskyrmion_v",
+                                 "basis_3", "dipolar", "h_gaussian"]))
+    if name is not None:
+        alpha = st.named_state(name).alpha
+    g = fd.TransverseGrid(size=size, extent=draw(hs.sampled_from([3.0, 4.4, 8.0])))
+    e_left, e_right = (e.copy() for e in fd.synthesize(st.CoherentState(alpha), g))
+    if dark is not None:
+        e_left[dark] = e_right[dark] = 0.0
+    radius = draw(hs.floats(2.0 * g.spacing, 1.5 * g.extent))
+    return fd.stokes_fields(e_left, e_right, g), radius
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(charge_cases())
+def test_disk_span_charge_equals_the_full_square_pass_bit_for_bit(case):
+    sf, radius = case
+    assert _charge_bits(fd._closed_texture, sf, radius) == \
+        _charge_bits(_full_square_charge, sf, radius)
+
+
+@pytest.mark.parametrize("size,extent,name,disk", [
+    (64, 3.0, "neel_out", 3.0),
+    (67, 3.0, "bloch_left", 4.5),
+    (65, 4.4, "neel_out", 4.0),
+    (33, 8.0, "antiskyrmion_h", 5.0),
+    (64, 3.0, "dipolar", 3.0),
+])
+def test_disk_span_charge_on_named_textures(size, extent, name, disk):
+    sf = stokes_for(name, grid=fd.TransverseGrid(size=size, extent=extent))
+    assert _charge_bits(fd._closed_texture, sf, disk) == \
+        _charge_bits(_full_square_charge, sf, disk)
+
+
+# the charge of a closable texture is the degree of its map onto the
+# sphere, so a rotation of the sphere leaves both routes unchanged up to
+# rounding (measured: at most 7e-16 over 300 draws at grid 64)
+INVARIANCE_TOL = 1e-12
+
+
+@hs.composite
+def closable_states(draw):
+    """Pair-sphere states whose flip ring lies 4 to 13 pixels from the axis
+    at grid 64, and torus states on the two closable arcs |sin theta_p| <=
+    0.9; the dipolar torus states do not close and are left out."""
+    phi = draw(hs.floats(-np.pi, np.pi))
+    kind = draw(hs.sampled_from(["skyrmion", "antiskyrmion", "torus"]))
+    if kind == "torus":
+        theta_p = draw(hs.floats(-1.1, 1.1)) + draw(hs.sampled_from([0.0, np.pi]))
+        return st.torus_state(theta_p, phi)
+    return st.su2_state(draw(hs.floats(np.pi / 3, 2 * np.pi / 3)), phi, kind)
+
+
+def _both_routes(state):
+    g = fd.TransverseGrid(size=64, extent=3.0)
+    report = fd.topological_charge(fd.stokes_fields(*fd.synthesize(state, g), g))
+    return np.array([report.finite_difference, report.solid_angle])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(closable_states(), hs.lists(hs.floats(-np.pi, np.pi), min_size=4, max_size=4))
+def test_charge_is_unchanged_by_a_uniform_polarization_unitary(state, angles):
+    a, b, c, d = angles
+    jones = np.exp(1j * a) * np.array([
+        [np.exp(1j * b) * np.cos(c), np.exp(1j * d) * np.sin(c)],
+        [-np.exp(-1j * d) * np.sin(c), np.exp(-1j * b) * np.cos(c)],
+    ])
+    turned = st.apply_unitary(state, op._lift_spin(jones))
+    assert np.max(np.abs(_both_routes(turned) - _both_routes(state))) <= INVARIANCE_TOL
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(hs.floats(np.pi / 3, 2 * np.pi / 3), hs.floats(-np.pi, np.pi),
+       hs.sampled_from(["skyrmion", "antiskyrmion"]))
+def test_charge_is_unchanged_along_the_sphere_azimuth(theta, phi, kind):
+    moved = _both_routes(st.su2_state(theta, phi, kind))
+    assert np.max(np.abs(moved - _both_routes(st.su2_state(theta, 0.0, kind)))) \
+        <= INVARIANCE_TOL
 
 
 def test_uniform_texture_has_exactly_zero_charge():

@@ -202,6 +202,43 @@ def test_bench_refuses_arms_or_reflect_a_without_a_split(fields):
     assert str(err.value) == "arm elements and reflect=A need a split"
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: op.BenchDescription('a"b', "h_gaussian"),
+     "bench name must not contain a double quote or a line break, got 'a\"b'"),
+    (lambda: op.BenchDescription("a\nb", "h_gaussian"),
+     "bench name must not contain a double quote or a line break, got 'a\\nb'"),
+    (lambda: op.BenchDescription("x", "h gaussian"),
+     "input state must be one token without whitespace, ';' or '#', "
+     "got 'h gaussian'"),
+    (lambda: op.BenchDescription("x", ""),
+     "input state must be one token without whitespace, ';' or '#', got ''"),
+    (lambda: elem("HWP", angle=1.0, element_id="a b"),
+     "element id must not contain whitespace, '/', ';' or '#', got 'a b'"),
+    (lambda: elem("MIRROR", element_id="M/1"),
+     "element id must not contain whitespace, '/', ';' or '#', got 'M/1'"),
+])
+def test_bench_types_refuse_text_the_parser_cannot_read(build, message):
+    # unrefused, serialize_bench would write text that parse_bench refuses
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+_TEXT = hs.text(alphabet='ab" \t\n\r\x85/;#=:', max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_TEXT, _TEXT, hs.lists(_TEXT, min_size=1, max_size=3, unique=True))
+def test_benches_built_in_code_round_trip_or_are_refused(name, token, ids):
+    try:
+        bench = op.BenchDescription(
+            name, token, pre=tuple(elem("HWP", angle=float(i), element_id=eid)
+                                   for i, eid in enumerate(ids)))
+    except ValueError:
+        return
+    assert op.parse_bench(op.serialize_bench(bench)) == bench
+
+
 # ---------------------------------------------------------------- parser
 
 VALID_BENCH = """\

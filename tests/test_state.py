@@ -258,6 +258,22 @@ def test_su2_state_round_trip_on_sphere():
         assert np.allclose(pt.coords, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("build,angles,name,value", [
+    (st.su2_state, (np.nan, 0.0), "theta", np.nan),
+    (st.su2_state, (0.3, np.inf), "phi", np.inf),
+    (st.su2_state, (-np.inf, np.nan), "theta", -np.inf),
+    (st.torus_state, (0.0, np.inf), "phi_t", np.inf),
+    (st.torus_state, (np.nan, 1.0), "theta_p", np.nan),
+    (st.torus_state, (-np.inf, 0.0), "theta_p", -np.inf),
+])
+def test_family_states_refuse_a_non_finite_angle_by_name(build, angles, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(ValueError) as err:
+            build(*angles)
+    assert str(err.value) == f"angle {name} must be finite, got {value}"
+
+
 def test_torus_poloidal_radius_is_half():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(50):
