@@ -253,7 +253,9 @@ def stokes_fields(
         raise ValueError(
             f"field shape {e_left.shape} does not match the grid {shape}"
         )
-    s0, s1, s2, s3 = np.empty((4,) + shape)
+    # four blocks, not one: a single block of 32 MB or more (grid 1024)
+    # comes back as fresh pages on every call
+    s0, s1, s2, s3 = (np.empty(shape) for _ in range(4))
     for rows in _row_strips(grid.size):
         il = np.abs(e_left[rows]) ** 2
         ir = np.abs(e_right[rows]) ** 2
@@ -263,9 +265,12 @@ def stokes_fields(
         np.multiply(2.0, np.imag(cross), out=s2[rows])
         np.subtract(il, ir, out=s3[rows])
     mask = s0 > _S0_CUTOFF * s0.max()
-    n = np.moveaxis(np.zeros((3,) + shape), 0, -1)
-    for k, s in enumerate((s1, s2, s3)):
-        np.divide(s, s0, out=n[..., k], where=mask)
+    n = np.moveaxis(np.empty((3,) + shape), 0, -1)
+    dark = ~mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, s in enumerate((s1, s2, s3)):
+            np.divide(s, s0, out=n[..., k])
+            n[..., k][dark] = 0.0
     for arr in (s0, s1, s2, s3, n, mask):
         arr.setflags(write=False)
     return StokesField(grid=grid, s0=s0, s1=s1, s2=s2, s3=s3, n=n, mask=mask)

@@ -57,9 +57,9 @@ fixed element operator once and rebuilds only the swept one per frame.
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
 that break these rules (non-finite numbers, a reflect other than A or B,
 arms or reflect=A without a split, a name, input token or element id that
-the text cannot hold) when built; ``parse_bench`` re-raises
-a refusal at its line.  A run's input is ``input_state`` or the named
-input state.
+the text cannot hold, two elements with one id) when built;
+``parse_bench`` re-raises a refusal at its line.  A run's input is
+``input_state`` or the named input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -81,7 +81,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .serialize import format_float
-from .state import CoherentState, named_state, state_names
+from .state import R2, CoherentState, _norm, named_state, state_names
 
 __all__ = [
     "BenchDescription",
@@ -228,6 +228,12 @@ class BenchDescription:
         _check_reflect(self.reflect)
         if not self.split and (self.arm_a or self.arm_b or self.reflect != "B"):
             raise ValueError("arm elements and reflect=A need a split")
+        seen = set()
+        for e in self.all_elements():
+            if e.element_id in seen:
+                raise ValueError(f"duplicate element id {e.element_id!r}")
+            if e.element_id is not None:
+                seen.add(e.element_id)
 
     def all_elements(self) -> tuple[OpticalElement, ...]:
         return self.pre + self.arm_a + self.arm_b
@@ -660,8 +666,8 @@ def _propagate(
             arm_a = _MIRROR6 @ arm_a
         else:
             arm_b = _MIRROR6 @ arm_b
-        a = (arm_a + arm_b) / np.sqrt(2)
-    if np.linalg.norm(a) < 1e-12:
+        a = (arm_a + arm_b) / R2
+    if _norm(a) < 1e-12:
         raise RuntimeError(
             "bench output is fully extinguished "
             "(destructive recombination or a crossed polarizer)"

@@ -11,6 +11,7 @@ spheres or on the torus.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +57,20 @@ def positive_finite(name: str, value):
     return value
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D real or complex vector, by the same
+    formula (numpy's ord=None case) without its argument handling."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
+def _clamp(x: float) -> float:
+    """x limited to [-1, 1] for arccos, as np.clip(x, -1.0, 1.0) limits it."""
+    return min(max(x, -1.0), 1.0)
+
+
 def _finite_angles(**angles) -> None:
     """Refuse the first angle that is not finite (NaN fails), by name."""
     for name, value in angles.items():
@@ -74,7 +89,7 @@ class CoherentState:
         a = np.asarray(self.alpha, dtype=complex).reshape(-1)
         if a.shape != (6,):
             raise ValueError(f"state vector must have 6 components, got {a.shape}")
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
         if not norm < np.inf:
             bad = np.flatnonzero(~np.isfinite(a))
             if bad.size:
@@ -148,12 +163,18 @@ def all_expectations(state: CoherentState,
     return state.n0 * _unit_coords(state, basis.matrices)
 
 
+def _check_unitary(u: np.ndarray) -> None:
+    """Refuse a complex 6x6 matrix whose U^dag U is off the identity by
+    more than 1e-10 in any entry."""
+    if np.max(np.abs(u.conj().T @ u - np.eye(6))) > 1e-10:
+        raise ValueError("matrix is not unitary")
+
+
 def apply_unitary(state: CoherentState, u: np.ndarray) -> CoherentState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (6, 6):
         raise ValueError(f"unitary must be 6x6, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(6))) > 1e-10:
-        raise ValueError("matrix is not unitary")
+    _check_unitary(u)
     return CoherentState(u @ state.alpha, n0=state.n0)
 
 
@@ -164,11 +185,14 @@ def overlap(bra: CoherentState, ket: CoherentState) -> complex:
 
 @lru_cache(maxsize=1)  # a sweep asks for one axis and angle on every frame
 def _transports(axis_bytes: bytes, angle: float, basis, adjoint):
-    # the unitary and the rotation; basis and adjoint hash by identity and
-    # the entry holds them, so a reused id() cannot match a stale entry
+    # the unitary, checked once here, and the rotation; basis and adjoint
+    # hash by identity and the entry holds them, so a reused id() cannot
+    # match a stale entry
     axis = np.frombuffer(axis_bytes)
     gen = np.einsum("l,lij->ij", axis, basis.matrices)
-    return algebra.exp_generator(gen, angle), algebra.exp_adjoint(adjoint, axis, angle)
+    unitary = algebra.exp_generator(gen, angle)
+    _check_unitary(unitary)
+    return unitary, algebra.exp_adjoint(adjoint, axis, angle)
 
 
 def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float,
@@ -179,7 +203,7 @@ def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float
     exp(-i b . axis * angle / 2) first."""
     unitary, rotation = _transports(np.asarray(axis, dtype=float).tobytes(),
                                     float(angle), basis, adjoint)
-    quantum = all_expectations(apply_unitary(state, unitary), basis)
+    quantum = all_expectations(CoherentState(unitary @ state.alpha, state.n0), basis)
     classical = rotation @ all_expectations(state, basis)
     return float(np.max(np.abs(quantum - classical)))
 
@@ -196,10 +220,10 @@ def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> Sphere
     unit = _unit_coords(state, triple)
     coords = state.n0 * unit
     coords.setflags(write=False)
-    r = float(np.linalg.norm(unit))
+    r = _norm(unit)
     if r < 1e-14:
         return SpherePoint(kind, coords, 0.0, 0.0, True)
-    theta = float(np.arccos(np.clip(unit[2] / r, -1.0, 1.0)))
+    theta = float(np.arccos(_clamp(unit[2] / r)))
     planar = float(np.hypot(unit[0], unit[1]))
     if planar < 1e-14 * max(r, 1.0):
         return SpherePoint(kind, coords, theta, 0.0, True)
@@ -328,11 +352,11 @@ def _wrap_angle(x: float) -> float:
 def _pair_label(coords, cardinals, tol: float) -> str:
     # coords are per photon; on the branches that call this the pair weight,
     # which is their length, is at least 1 - 2e-9
-    u = coords / np.linalg.norm(coords)
+    u = coords / _norm(coords)
     for target, label in cardinals:
-        if np.arccos(np.clip(u @ target, -1.0, 1.0)) <= tol:
+        if np.arccos(_clamp(u @ target)) <= tol:
             return label
-    polar = np.arccos(np.clip(u[2], -1.0, 1.0))
+    polar = np.arccos(_clamp(u[2]))
     if polar <= tol or polar >= np.pi - tol:
         return "pole"
     return "intermediate"

@@ -224,6 +224,26 @@ def test_bench_types_refuse_text_the_parser_cannot_read(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sections", [
+    {"pre": ("H", "H")},
+    {"pre": ("H",), "arm_b": ("H",)},
+    {"arm_a": ("H",), "arm_b": (None, "H")},
+])
+def test_bench_refuses_two_elements_with_one_id(sections):
+    # unrefused, set_element_angle and run_sweep would set both plates and
+    # serialize_bench would write text that parse_bench refuses
+    fields = {key: tuple(elem("HWP", angle=10.0, element_id=eid) for eid in ids)
+              for key, ids in sections.items()}
+    with pytest.raises(ValueError) as err:
+        op.BenchDescription("x", "h_gaussian", split=True, **fields)
+    assert str(err.value) == "duplicate element id 'H'"
+
+
+def test_bench_does_not_compare_elements_without_an_id():
+    op.BenchDescription("x", "h_gaussian",
+                        pre=(elem("HWP", angle=10.0), elem("HWP", angle=20.0)))
+
+
 _TEXT = hs.text(alphabet='ab" \t\n\r\x85/;#=:', max_size=6)
 
 
@@ -812,20 +832,57 @@ def _outcome(fn):
     return out.alpha.tobytes(), out.n0
 
 
+def _wrapper_run(bench, input_state):
+    """run_bench's camera state by numpy's wrappers: np.linalg.norm for the
+    extinction test and the normalization, np.sqrt(2) at the combiner."""
+    a = input_state.alpha.astype(complex)
+    for e in bench.pre:
+        a = op.element_operator(e) @ a
+    if bench.split:
+        arms = [op._PROJ_H6 @ a, op._PROJ_V6 @ a]
+        for k, elems in enumerate((bench.arm_a, bench.arm_b)):
+            for e in elems:
+                arms[k] = op.element_operator(e) @ arms[k]
+        k = "AB".index(bench.reflect)
+        arms[k] = op._MIRROR6 @ arms[k]
+        a = (arms[0] + arms[1]) / np.sqrt(2)
+    if np.linalg.norm(a) < 1e-12:
+        return RuntimeError
+    return (a / float(np.linalg.norm(a))).tobytes(), input_state.n0
+
+
+@hs.composite
+def sparse_amplitudes(draw):
+    """Random amplitudes with about half of them zeroed."""
+    parts = draw(hs.lists(hs.floats(-1.0, 1.0), min_size=12, max_size=12))
+    zeroed = draw(hs.lists(hs.booleans(), min_size=6, max_size=6))
+    a = np.where(zeroed, 0.0, np.array(parts[:6]) + 1j * np.array(parts[6:]))
+    return a if np.linalg.norm(a) >= 1e-3 else np.eye(6)[2]
+
+
 @PROPERTY
-@given(bench_cases(), hs.sampled_from([None, "dipolar", "basis_3"]),
-       hs.sampled_from([1.0, 2.5]))
+@given(bench_cases(),
+       hs.one_of(hs.sampled_from([None, "dipolar", "basis_3"]), sparse_amplitudes()),
+       hs.sampled_from([1.0, 2.5, 1000.0, 1e160, 1e-160]))
 def test_sweep_frames_equal_single_runs(case, given_input, n0):
     bench = case[2]
-    # a file input stays None, so both sides refuse it
-    name = given_input or bench.input_state
-    input_state = st.named_state(name, n0=n0) if name in st.state_names() else None
+    if isinstance(given_input, np.ndarray):
+        input_state = st.CoherentState(given_input, n0=n0)
+    else:
+        # a file input stays None, so both sides refuse it
+        name = given_input or bench.input_state
+        input_state = (st.named_state(name, n0=n0) if name in st.state_names()
+                       else None)
     for element_id in {sw.element_id for sw in bench.sweeps}:
         spec = next(sw for sw in bench.sweeps if sw.element_id == element_id)
         want = [_outcome(lambda: op.run_bench(
                     op.set_element_angle(bench, element_id, float(v)),
                     input_state=input_state))
                 for v in spec.values]
+        if input_state is not None:
+            wrapped = [_wrapper_run(op.set_element_angle(bench, element_id, float(v)),
+                                    input_state) for v in spec.values]
+            assert [w if isinstance(w[0], bytes) else w[0] for w in want] == wrapped
         errors = [w for w in want if isinstance(w[0], type)]
         try:
             res = op.run_sweep(bench, element_id, input_state=input_state)

@@ -7,6 +7,7 @@ checked against direct numpy arithmetic done here in the tests.
 from __future__ import annotations
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,6 +502,128 @@ def test_an_equal_adjoint_does_not_hit_another_objects_transports(adjoint):
     st.correspondence_residual(s, axis, 0.3, basis, adjoint)
     st.correspondence_residual(s, axis, 0.3, basis, twin)
     assert st._transports.cache_info()[:2] == (0, 2)
+
+
+def test_a_unitary_that_is_not_is_refused_once_per_transport(monkeypatch, adjoint):
+    # correspondence_residual moves each state without apply_unitary, so the
+    # check on the cached unitary is the only one its frames get
+    monkeypatch.setattr(alg, "exp_generator",
+                        lambda gen, angle: 2.0 * np.eye(6, dtype=complex))
+    st._transports.cache_clear()
+    with pytest.raises(ValueError) as err:
+        st.correspondence_residual(st.named_state("dipolar"), np.ones(35), 0.4,
+                                   alg.su6_basis(), adjoint)
+    assert str(err.value) == "matrix is not unitary"
+    assert st._transports.cache_info().currsize == 0
+
+
+# the per-frame geometry by numpy's wrapper functions: np.linalg.norm for
+# every norm, np.clip before every arccos, and apply_unitary, which checks
+# the unitary again on every call
+def _wrapper_alpha(amplitudes):
+    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    return a / float(np.linalg.norm(a))
+
+
+def _wrapper_point(alpha, n0, triple):
+    """(coords, theta, phi, degenerate azimuth) of a sphere point."""
+    unit = np.einsum("kij,i,j->k", triple, alpha.conj(), alpha).real
+    r = float(np.linalg.norm(unit))
+    if r < 1e-14:
+        return n0 * unit, 0.0, 0.0, True
+    theta = float(np.arccos(np.clip(unit[2] / r, -1.0, 1.0)))
+    if float(np.hypot(unit[0], unit[1])) < 1e-14 * max(r, 1.0):
+        return n0 * unit, theta, 0.0, True
+    return n0 * unit, theta, float(np.arctan2(unit[1], unit[0])), False
+
+
+def _wrapper_label(s, tol_deg=1.0):
+    tol = np.deg2rad(tol_deg)
+    w = np.abs(s.alpha) ** 2
+    if w[0] + w[1] + w[5] > 1e-9:
+        return "other"
+    for weight, triple, cardinals in (
+            (w[4], alg.skyrmion_generators(), st._SKYRMION_CARDINALS),
+            (w[3], alg.antiskyrmion_generators(), st._ANTISKYRMION_CARDINALS)):
+        if weight <= 1e-9:
+            c = np.einsum("kij,i,j->k", triple, s.alpha.conj(), s.alpha).real
+            u = c / np.linalg.norm(c)
+            for target, label in cardinals:
+                if np.arccos(np.clip(u @ target, -1.0, 1.0)) <= tol:
+                    return label
+            polar = np.arccos(np.clip(u[2], -1.0, 1.0))
+            return "pole" if polar <= tol or polar >= np.pi - tol else "intermediate"
+    return st.classify_texture(s)  # the torus branch takes no norm and no arccos
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()  # keeps the sign of a zero
+
+
+_NEAR = hs.sampled_from([0.0, 1e-9, -1e-3, 0.01, -0.03, 0.7])
+_CARDINAL = hs.sampled_from([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+
+
+@hs.composite
+def geometry_cases(draw):
+    """(unnormalized amplitudes, N0): random amplitudes with about half of
+    them zeroed, or pair-sphere and torus states at, near and away from
+    their named points, so that every label branch is drawn."""
+    n0 = draw(hs.sampled_from([1.0, 2.5, 1000.0, 1e160, 1e-160]))
+    family = draw(hs.sampled_from(["sparse", "skyrmion", "antiskyrmion", "torus"]))
+    if family == "sparse":
+        parts = np.array(draw(hs.lists(UNIT, min_size=12, max_size=12)))
+        zeroed = np.array(draw(hs.lists(hs.booleans(), min_size=6, max_size=6)))
+        a = np.where(zeroed, 0.0, parts[:6] + 1j * parts[6:])
+        assume(np.linalg.norm(a) >= 1e-3)
+        return a, n0
+    theta, phi = (draw(_CARDINAL) + draw(_NEAR) for _ in range(2))
+    if family == "torus":
+        unit = st.torus_state(theta, phi).alpha
+    else:
+        unit = st.su2_state(theta, phi, family).alpha
+    return draw(hs.sampled_from([1.0, 0.3, 7.0])) * unit, n0
+
+
+@PROPERTY
+@given(case=geometry_cases(), axis=unit_axes(),
+       angle=hs.floats(-10.0, 10.0, allow_nan=False))
+def test_per_frame_geometry_equals_the_numpy_wrapper_formulas(adjoint, case, axis,
+                                                               angle):
+    amplitudes, n0 = case
+    s = st.CoherentState(amplitudes, n0=n0)
+    alpha = _wrapper_alpha(amplitudes)
+    assert s.alpha.tobytes() == alpha.tobytes()
+    spheres = [(st.skyrmion_sphere, alg.skyrmion_generators()),
+               (st.antiskyrmion_sphere, alg.antiskyrmion_generators()),
+               (st.oam_sphere, st._OAM_TRIPLE), (st.polarization_sphere, st._POL_TRIPLE)]
+    spheres += [(lambda s, p=sub.pair: st.subsphere_point(s, p), sub.triple)
+                for sub in st.enumerate_subspheres()]
+    for sphere, triple in spheres:
+        got = sphere(s)
+        coords, theta, phi, degenerate = _wrapper_point(alpha, n0, triple)
+        assert got.coords.tobytes() == coords.tobytes()
+        assert _bits(got.theta, got.phi) == _bits(theta, phi)
+        assert got.degenerate_azimuth == degenerate
+    assert st.classify_texture(s) == _wrapper_label(s)
+    try:
+        torus = st.state_to_torus(s)
+    except ValueError as err:
+        torus = str(err)
+    try:
+        want = st.state_to_torus(SimpleNamespace(alpha=alpha, n0=n0))
+    except ValueError as err:
+        want = str(err)
+    assert torus == want
+    basis = alg.su6_basis()
+    want = n0 * np.einsum("lij,i,j->l", basis.matrices, alpha.conj(), alpha).real
+    assert st.all_expectations(s, basis).tobytes() == want.tobytes()
+    unitary = alg.exp_generator(np.einsum("l,lij->ij", axis, basis.matrices), angle)
+    quantum = st.all_expectations(st.apply_unitary(s, unitary), basis)
+    classical = alg.exp_adjoint(adjoint, axis, angle) @ st.all_expectations(s, basis)
+    want = float(np.max(np.abs(quantum - classical)))
+    got = st.correspondence_residual(s, axis, angle, basis, adjoint)
+    assert _bits(got) == _bits(want)
 
 
 def test_subsphere_enumeration_partitions_all_pairs():
