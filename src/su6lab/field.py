@@ -3,10 +3,18 @@
 A six-amplitude state is rendered onto a square grid as a pair of
 circular-polarization field components built from the three lowest
 Laguerre-Gauss modes (orbital charges +1, -1, 0, common waist, waist
-plane, no propagation).  The three modes are built once per grid and
-waist and kept read-only.  From the pair come the four Stokes fields and
+plane, no propagation).  From the pair come the four Stokes fields and
 the unit spin texture n = (S1, S2, S3)/S0, defined where S0 exceeds
 1e-12 of its peak.
+
+What does not depend on the state is built once and kept read-only, one
+entry each (sizes at grid 1024): the three modes per grid and waist
+(48 MB), the integration disk with its pixel count and its two-pixel
+reach per grid and disk radius (2 MB), and the bubble bin of every disk
+pixel with the pixel count of every bin per grid, radius, bins and
+profile (6.3 MB for a disk of the grid's extent).  The grid keeps its
+radius and azimuth (16 MB); it builds them from its axis, so the x and y
+grids exist only when the field CSV asks for them.
 
 The topological charge is computed two independent ways:
 
@@ -37,7 +45,7 @@ EDT (exact Euclidean distance transform), never on the saturated map, so
 no stencil straddles the closure step.  Only the dark pixels that a
 stencil of the charge reads are continued, and only when there are some.
 
-Synthesis, the Stokes fields, the bubble map's bin indices and both
+Synthesis, the Stokes fields, the build of the bubble bins and both
 charge kernels run strip by strip of 32 rows, so their temporaries stay
 small.  The charge kernels work on the three component planes of the
 texture and repeat the arithmetic of np.einsum and np.cross on (..., 3)
@@ -117,13 +125,15 @@ class TransverseGrid:
     def yy(self) -> np.ndarray:
         return np.meshgrid(self.axis, self.axis, indexing="xy")[1]
 
+    # rr and phi take x and y from the broadcast axis: the same bits as
+    # from xx and yy, without keeping those two grids alive
     @cached_property
     def rr(self) -> np.ndarray:
-        return np.hypot(self.xx, self.yy)
+        return np.hypot(self.axis[None, :], self.axis[:, None])
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return np.arctan2(self.yy, self.xx)
+        return np.arctan2(self.axis[:, None], self.axis[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,22 +401,45 @@ def _nearest_defined(defined, rows, cols):
     return rows + _NEAR[first, 0] - 2, cols + _NEAR[first, 1] - 2
 
 
-def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
+# the eight steps of one and two pixels along a row or a column: the reach
+# of the charge stencil beyond its own pixel
+_STEPS = ((-2, 0), (-1, 0), (1, 0), (2, 0), (0, -2), (0, -1), (0, 1), (0, 2))
+
+
+@lru_cache(maxsize=1)
+def _disk(grid: TransverseGrid, radius: float) -> tuple[np.ndarray, int, np.ndarray]:
+    # the integration disk (pixel centers within the radius), its pixel
+    # count, and its reach: the pixels a charge stencil on the disk reads.
+    # Read-only and built once per grid and radius
+    disk = grid.rr <= radius
+    padded, n = np.pad(disk, 2), grid.size
+    reach = disk.copy()
+    for r, c in _STEPS:
+        reach |= padded[r + 2:r + 2 + n, c + 2:c + 2 + n]
+    disk.setflags(write=False)
+    reach.setflags(write=False)
+    return disk, int(np.count_nonzero(disk)), reach
+
+
+def _continue_past_cutoff(sf: StokesField, mask: np.ndarray, reach: np.ndarray):
     # derivatives need a smooth field; dark pixels inherit the spin of
     # the nearest defined pixel instead of an arbitrary constant.  The
     # charge reads rho only on mask pixels, and their stencils reach two
     # pixels along the row and the column, so only the dark pixels in that
-    # reach are filled, each from a mask pixel at most two away
+    # reach are filled, each from a mask pixel at most two away.  `reach`
+    # holds every pixel within two steps of a mask pixel (the disk's reach
+    # does); a dark pixel of it is kept when a mask pixel is in its own reach
     spins = np.moveaxis(sf.n, -1, 0)
     if sf.mask.all():
         return spins
-    reach = mask.copy()
-    for s in (1, 2):
-        reach[s:] |= mask[:-s]
-        reach[:-s] |= mask[s:]
-        reach[:, s:] |= mask[:, :-s]
-        reach[:, :-s] |= mask[:, s:]
-    rows, cols = np.nonzero(reach & ~sf.mask)
+    # flatnonzero and divmod give np.nonzero's pixels in its order, without
+    # its 2-D index walk (3 ms at grid 1024 even when nothing is found)
+    rows, cols = np.divmod(np.flatnonzero(reach & ~sf.mask), sf.mask.shape[1])
+    padded = np.pad(mask, 2)
+    near = np.zeros(rows.size, dtype=bool)
+    for r, c in _STEPS:
+        near |= padded[rows + r + 2, cols + c + 2]
+    rows, cols = rows[near], cols[near]
     if not rows.size:
         return spins
     continued = spins.copy()
@@ -439,8 +472,7 @@ class _ClosedTexture:
 
 def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     grid = sf.grid
-    disk = grid.rr <= disk_radius
-    n_disk = np.count_nonzero(disk)
+    disk, n_disk, reach = _disk(grid, disk_radius)
     if not n_disk:
         raise ValueError("integration disk contains no grid pixels")
     mask = disk & sf.mask
@@ -461,7 +493,12 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
         & mask[1:-1, :-2]
         & mask[1:-1, 2:]
     )
-    rim_spins = sf.n[mask & ~inner]
+    # gathered by flat index from the contiguous planes into a C-ordered
+    # (pixels, 3) array, the layout boolean indexing of sf.n gives, so the
+    # mean below sums in the same order
+    planes = np.moveaxis(sf.n, -1, 0)
+    rim = np.flatnonzero(mask & ~inner)
+    rim_spins = np.stack([p.ravel()[rim] for p in planes], axis=-1)
     mean = rim_spins.mean(axis=0)
     scale = np.linalg.norm(mean)
     n_sat = mean / max(scale, 1e-300)
@@ -475,7 +512,7 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     # a plaquette with no corner in the mask has four n_sat corners, so only
     # the plaquettes the mask touches are computed; the rest take the
     # kernel's value on one constant patch, down to the sign of a zero
-    closed = _ClosedTexture(np.moveaxis(sf.n, -1, 0), mask, n_sat)
+    closed = _ClosedTexture(planes, mask, n_sat)
     corners = np.pad(mask, 1)
     touched = corners[:-1, :-1] | corners[:-1, 1:] | corners[1:, 1:] | corners[1:, :-1]
     constant = _plaquette_solid_angles(np.broadcast_to(n_sat[:, None, None], (3, 2, 2)))
@@ -491,7 +528,7 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
 
     # gradients come from the texture itself wherever the intensity
     # defines it, so no stencil straddles the saturation step
-    smooth = _continue_past_cutoff(sf, mask)
+    smooth = _continue_past_cutoff(sf, mask, reach)
     h = grid.spacing
     # the plaquettes below read rho on mask pixels only
     rho = _by_strips(lambda w: _charge_density(w, h),
@@ -567,6 +604,30 @@ def radial_to_polar(r, disk_radius: float, profile: str = "linear"):
     return theta
 
 
+@lru_cache(maxsize=1)
+def _bubble_bins(grid: TransverseGrid, disk_radius: float, n_theta: int, n_phi: int,
+                 profile: str) -> tuple[np.ndarray, np.ndarray]:
+    # the bubble bin of every disk pixel in C order, built one strip of rows
+    # at a time, and the pixel count of every bin; read-only and built once
+    # per grid, radius, bins and profile
+    disk, n_disk, _ = _disk(grid, disk_radius)
+    flat = np.empty(n_disk, dtype=np.intp)
+    start = 0
+    for rows in _row_strips(grid.size):
+        theta = radial_to_polar(grid.rr[rows][disk[rows]], disk_radius, profile)
+        phi = grid.phi[rows][disk[rows]]
+        i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
+        i_phi = np.minimum(
+            ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1
+        )
+        flat[start:start + theta.size] = i_theta * n_phi + i_phi
+        start += theta.size
+    counts = np.bincount(flat, minlength=n_theta * n_phi)
+    flat.setflags(write=False)
+    counts.setflags(write=False)
+    return flat, counts
+
+
 def soup_bubble(
     sf: StokesField,
     disk_radius: float | None = None,
@@ -590,24 +651,18 @@ def soup_bubble(
     n_theta, n_phi = bins
     if n_theta < 1 or n_phi < 1:
         raise ValueError(f"bins must be positive, got {bins}")
-    sel = (grid.rr <= disk_radius) & sf.mask
-    # the bin of each selected pixel in C order, one strip of rows at a time
-    flat = np.empty(np.count_nonzero(sel), dtype=int)
-    start = 0
-    for rows in _row_strips(grid.size):
-        theta = radial_to_polar(grid.rr[rows][sel[rows]], disk_radius, profile)
-        phi = grid.phi[rows][sel[rows]]
-        i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
-        i_phi = np.minimum(
-            ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1
-        )
-        flat[start:start + theta.size] = i_theta * n_phi + i_phi
-        start += theta.size
-    counts = np.bincount(flat, minlength=n_theta * n_phi)
+    disk = _disk(grid, disk_radius)[0]
+    disk_bins, disk_counts = _bubble_bins(grid, disk_radius, n_theta, n_phi, profile)
+    defined = sf.mask[disk]
+    flat = disk_bins[defined]
+    # the disk's counts less those of its dark pixels: integers, so exact
+    counts = disk_counts - np.bincount(disk_bins[~defined], minlength=n_theta * n_phi)
+    sel = disk & sf.mask
+    planes = np.moveaxis(sf.n, -1, 0)
     sums = np.zeros((n_theta * n_phi, 3))
     for k in range(3):
         sums[:, k] = np.bincount(
-            flat, weights=sf.n[..., k][sel], minlength=n_theta * n_phi
+            flat, weights=planes[k][sel], minlength=n_theta * n_phi
         )
     vectors = np.zeros_like(sums)
     filled = counts > 0

@@ -268,6 +268,7 @@ class BenchParseError(ValueError):
 # --------------------------------------------------------------- operators
 
 _C2 = np.array([[1, 1j], [1, -1j]], dtype=complex) / np.sqrt(2)
+_C2_H = _C2.conj().T
 _EYE3 = np.eye(3, dtype=complex)
 
 
@@ -275,7 +276,7 @@ def _lift_spin(op2: np.ndarray) -> np.ndarray:
     # conjugate a linear-basis Jones matrix into the circular basis and
     # extend it over the three orbital modes: kron(m, 1_3) as the same
     # broadcast product np.kron forms, without its expand_dims overhead
-    m = _C2 @ op2 @ _C2.conj().T
+    m = _C2 @ op2 @ _C2_H
     return (m[:, None, :, None] * _EYE3[None, :, None, :]).reshape(6, 6)
 
 
@@ -588,11 +589,20 @@ def _emit_element(e: OpticalElement) -> str:
 def _emit_section(label: str, elements: tuple[OpticalElement, ...]) -> list[str]:
     if not elements:
         return []
+    for i, e in enumerate(elements, 1):
+        # "id=None" would parse back as the id "None"
+        if e.element_id is None:
+            raise ValueError(f"cannot serialize: {label} element {i} ({e.kind}) "
+                             "has no id")
     return [f"{label}: " + " / ".join(_emit_element(e) for e in elements)]
 
 
 def serialize_bench(bench: BenchDescription) -> str:
-    """Canonical text for a bench; parse(serialize(b)) == b."""
+    """Canonical text for a bench; parse(serialize(b)) == b.
+
+    Every element needs an id, as every parsed element has; a bench built
+    in code with an element of no id is refused with ValueError.
+    """
     lines = [f'bench "{bench.name}"', f"input state={bench.input_state}"]
     lines += _emit_section("pre", bench.pre)
     if bench.split:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from su6lab import field as fd
@@ -45,6 +45,18 @@ def test_grid_pixel_centers_and_symmetry():
     # rows move along y, columns along x
     assert np.allclose(g.xx[0], g.axis)
     assert np.allclose(g.yy[:, 0], g.axis)
+
+
+@pytest.mark.parametrize("size", [16, 64, 65, 1024])
+@pytest.mark.parametrize("extent", [0.7, 3.0, 4.4])
+def test_radius_and_azimuth_are_the_meshgrid_formulas_bit_for_bit(size, extent):
+    g = fd.TransverseGrid(size=size, extent=extent)
+    rr, phi = g.rr, g.phi
+    # neither builds the coordinate grids, which only the field CSV reads
+    assert "xx" not in g.__dict__ and "yy" not in g.__dict__
+    xx, yy = np.meshgrid(g.axis, g.axis, indexing="xy")
+    assert rr.tobytes() == np.hypot(xx, yy).tobytes()
+    assert phi.tobytes() == np.arctan2(yy, xx).tobytes()
 
 
 def test_grid_validation():
@@ -502,7 +514,7 @@ def edt_calls(monkeypatch):
     return calls
 
 
-def _always_continued(sf, mask):
+def _always_continued(sf, mask, reach=None):
     from scipy import ndimage
 
     rows, cols = ndimage.distance_transform_edt(
@@ -540,7 +552,7 @@ def test_continuation_picks_the_edt_pixel_for_every_dark_pixel_in_reach(case):
     plus = np.zeros((5, 5), dtype=bool)
     plus[2] = plus[:, 2] = True
     targets = ndimage.binary_dilation(mask, structure=plus) & ~sf.mask
-    continued = fd._continue_past_cutoff(sf, mask)
+    continued = fd._continue_past_cutoff(sf, mask, np.ones_like(mask))
     spins = np.moveaxis(sf.n, -1, 0)
     assert np.array_equal(continued[:, ~targets], spins[:, ~targets])
     if targets.any():
@@ -856,6 +868,100 @@ def test_bubble_map_bins_and_counts():
     # axis pixels land in the north row, boundary pixels in the south row
     assert tm.counts[0].sum() > 0
     assert tm.counts[-1].sum() > 0
+
+
+def _strip_bubble(sf, disk_radius, bins, profile):
+    """The bubble map with the bin of each selected pixel computed on the
+    call, strip by strip of 32 rows."""
+    grid = sf.grid
+    n_theta, n_phi = bins
+    sel = (grid.rr <= disk_radius) & sf.mask
+    flat = np.empty(np.count_nonzero(sel), dtype=int)
+    start = 0
+    for i in range(0, grid.size, 32):
+        rows = slice(i, i + 32)
+        theta = fd.radial_to_polar(grid.rr[rows][sel[rows]], disk_radius, profile)
+        phi = grid.phi[rows][sel[rows]]
+        i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
+        i_phi = np.minimum(
+            ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1)
+        flat[start:start + theta.size] = i_theta * n_phi + i_phi
+        start += theta.size
+    counts = np.bincount(flat, minlength=n_theta * n_phi)
+    sums = np.zeros((n_theta * n_phi, 3))
+    for k in range(3):
+        sums[:, k] = np.bincount(flat, weights=sf.n[..., k][sel],
+                                 minlength=n_theta * n_phi)
+    vectors = np.zeros_like(sums)
+    filled = counts > 0
+    vectors[filled] = sums[filled] / np.linalg.norm(sums[filled], axis=-1)[:, None]
+    return vectors.reshape(n_theta, n_phi, 3), counts.reshape(n_theta, n_phi)
+
+
+def _bubble_bits(vectors, counts):
+    return vectors.tobytes(), counts.dtype, counts.tobytes()
+
+
+@hs.composite
+def disk_cases(draw):
+    """A texture from drawn amplitudes on a grid of drawn size and extent,
+    maybe with a dark block anywhere and one on the edge of a drawn disk
+    (from inside the first pixel to the grid extent), bubble bins and a
+    radial profile."""
+    size, alpha, dark = draw(field_cases())
+    assume(np.linalg.norm(alpha) >= 1e-12)  # CoherentState refuses less
+    g = fd.TransverseGrid(size=size, extent=draw(hs.sampled_from([0.7, 3.0, 4.4, 8.0])))
+    radius = draw(hs.floats(0.5 * g.spacing, g.extent))
+    e_left, e_right = (e.copy() for e in fd.synthesize(st.CoherentState(alpha), g))
+    if dark is not None:
+        e_left[dark] = e_right[dark] = 0.0
+    if draw(hs.booleans()):
+        angle, half = draw(hs.floats(-np.pi, np.pi)), draw(hs.integers(0, 2))
+        r, c = (int(np.clip((radius * f(angle) + g.extent) / g.spacing, 0, size - 1))
+                for f in (np.sin, np.cos))
+        edge = np.s_[max(r - half, 0):r + half + 1, max(c - half, 0):c + half + 1]
+        e_left[edge] = e_right[edge] = 0.0
+    bins = (draw(hs.integers(1, 40)), draw(hs.integers(1, 70)))
+    profile = draw(hs.sampled_from(["linear", "area"]))
+    return fd.stokes_fields(e_left, e_right, g), radius, bins, profile
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(disk_cases())
+def test_cached_disk_geometry_gives_the_per_call_bits(case):
+    sf, radius, bins, profile = case
+    bubble = _bubble_bits(*_strip_bubble(sf, radius, bins, profile))
+    charge = _charge_bits(_full_square_charge, sf, radius)
+    fd._disk.cache_clear()
+    fd._bubble_bins.cache_clear()
+    # cold caches on the first pass, warm on the second; the report kept on
+    # the field answers topological_charge the second time, so the pass
+    # itself is called there
+    for charge_pass in (fd.topological_charge, fd._closed_texture):
+        assert _charge_bits(charge_pass, sf, radius) == charge
+        tm = fd.soup_bubble(sf, radius, bins, profile)
+        assert _bubble_bits(tm.vectors, tm.counts) == bubble
+
+
+def test_disk_geometry_is_built_once_per_grid_and_radius_and_read_only():
+    fd._disk.cache_clear()
+    fd._bubble_bins.cache_clear()
+    g = fd.TransverseGrid(size=64, extent=3.0)
+    fd.topological_charge(stokes_for("neel_out", grid=g), 2.0)
+    for name in ("neel_out", "bloch_left"):
+        # an equal grid built anew shares the entries
+        fd.soup_bubble(stokes_for(name, grid=fd.TransverseGrid(64, 3.0)), 2.0, (8, 16))
+    assert fd._disk.cache_info().misses == 1
+    assert fd._bubble_bins.cache_info().misses == 1
+    disk, count, reach = fd._disk(g, 2.0)
+    bins, counts = fd._bubble_bins(g, 2.0, 8, 16, "linear")
+    assert count == np.count_nonzero(disk) == bins.size == counts.sum()
+    assert bins.dtype == np.intp
+    assert np.array_equal(disk & reach, disk)
+    for arr in (disk, reach, bins, counts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_bubble_map_rejects_disk_beyond_grid():

@@ -244,6 +244,20 @@ def test_bench_does_not_compare_elements_without_an_id():
                         pre=(elem("HWP", angle=10.0), elem("HWP", angle=20.0)))
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"pre": (elem("HWP", angle=10.0),)}, "pre element 1 (HWP)"),
+    ({"split": True, "arm_a": (elem("MIRROR", element_id="M1"),),
+      "arm_b": (elem("QWP", angle=45.0, element_id="Q"), elem("VORTEX_LENS"))},
+     "arm B element 2 (VORTEX_LENS)"),
+])
+def test_serialize_refuses_an_element_without_an_id(fields, message):
+    # unrefused, it writes "id=None", which parses back as the id "None"
+    bench = op.BenchDescription("x", "h_gaussian", **fields)
+    with pytest.raises(ValueError) as err:
+        op.serialize_bench(bench)
+    assert str(err.value) == f"cannot serialize: {message} has no id"
+
+
 _TEXT = hs.text(alphabet='ab" \t\n\r\x85/;#=:', max_size=6)
 
 
