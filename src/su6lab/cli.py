@@ -11,9 +11,9 @@ Commands
 
 Global flags (after the subcommand): --out, --grid, --extent, --waist,
 --seed, --tolerance.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.  Every emitted file gets a JSON sidecar naming
-the command (without the --out value), the resolved configuration and
-the generator-ordering version.  Floats are printed with 17 significant
+2 usage, input or memory error.  Every emitted file gets a JSON sidecar
+naming the command (without the --out value), the resolved configuration
+and the generator-ordering version.  Floats are printed with 17 significant
 digits; each command ends with exactly one JSON document on stdout.
 """
 from __future__ import annotations
@@ -444,8 +444,9 @@ def main(argv: list | None = None) -> int:
     args._argv = tokens
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

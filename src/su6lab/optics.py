@@ -55,11 +55,13 @@ validated and echoed into the trajectory sidecar; it selects no output
 fixed element operator once and rebuilds only the swept one per frame.
 
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
-that break these rules (non-finite numbers, a reflect other than A or B,
-arms or reflect=A without a split, a name, input token or element id that
-the text cannot hold, two elements with one id) when built;
-``parse_bench`` re-raises a refusal at its line.  A run's input is
-``input_state`` or the named input state.
+that break these rules (non-finite numbers, an angle, chirality or flip
+on a kind without one, a reflect other than A or B, arms or reflect=A
+without a split, a name, input token or element id that the text cannot
+hold, two elements with one id, a sweep over an unknown id or a kind
+without an angle) when built; ``parse_bench`` calls the same rules and
+re-raises a refusal at its line.  A run's input is ``input_state`` or the
+named input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -147,12 +149,15 @@ class OpticalElement:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if "chirality" in row.attrs and self.chirality not in ("L", "R"):
             raise ValueError(f"chirality must be L or R, got {self.chirality!r}")
-        if "chirality" not in row.attrs and self.chirality != "R":
-            raise ValueError(f"{self.kind} has no chirality, got {self.chirality!r}")
         if not isinstance(self.flipped, bool):
             raise ValueError(f"flipped must be True or False, got {self.flipped!r}")
         if not math.isfinite(self.angle):
             raise ValueError(f"element angle must be finite, got {self.angle}")
+        # the text leaves out what a kind has not, so it must keep its default
+        for attr, default in (("angle", 0.0), ("chirality", "R"), ("flipped", False)):
+            value = getattr(self, attr)
+            if attr not in row.attrs and value != default:
+                raise ValueError(f"{self.kind} has no {attr}, got {value!r}")
         eid = self.element_id
         if eid is not None and not re.fullmatch(r"[^\s/;#]*", eid):
             raise ValueError("element id must not contain whitespace, '/', ';' or "
@@ -197,10 +202,29 @@ class SweepSpec:
         return self.start + self.step * np.arange(self.frame_count, dtype=float)
 
 
+# the bench rules: BenchDescription checks every bench with them, and
+# parse_bench calls them through _build at the statement's line
 def _check_reflect(reflect: str) -> None:
     """Refuse a reflect (the NPBS arm that gets the mirror flip) other than A or B."""
     if reflect not in ("A", "B"):
         raise ValueError(f"reflect must be A or B, got {reflect!r}")
+
+
+def _check_new_id(seen: set[str], element: OpticalElement) -> None:
+    """Refuse an element whose id is in ``seen``, else add its id if it has one."""
+    if element.element_id in seen:
+        raise ValueError(f"duplicate element id {element.element_id!r}")
+    if element.element_id is not None:
+        seen.add(element.element_id)
+
+
+def _check_sweep_target(elements, eid: str) -> None:
+    """Refuse a sweep over an id no element has, or over a kind with no angle."""
+    kind = next((e.kind for e in elements if e.element_id == eid), None)
+    if kind is None or eid is None:  # an element without an id has none to name
+        raise ValueError(f"sweep references unknown element id {eid!r}")
+    if "angle" not in _KINDS[kind].attrs:
+        raise ValueError(f"sweep element {eid!r} is a {kind}, which has no angle")
 
 
 @dataclass(frozen=True)
@@ -228,24 +252,14 @@ class BenchDescription:
         _check_reflect(self.reflect)
         if not self.split and (self.arm_a or self.arm_b or self.reflect != "B"):
             raise ValueError("arm elements and reflect=A need a split")
-        seen = set()
-        for e in self.all_elements():
-            if e.element_id in seen:
-                raise ValueError(f"duplicate element id {e.element_id!r}")
-            if e.element_id is not None:
-                seen.add(e.element_id)
+        elements, seen = self.all_elements(), set()
+        for e in elements:
+            _check_new_id(seen, e)
+        for sw in self.sweeps:
+            _check_sweep_target(elements, sw.element_id)
 
     def all_elements(self) -> tuple[OpticalElement, ...]:
         return self.pre + self.arm_a + self.arm_b
-
-    def find_element(self, element_id: str) -> OpticalElement:
-        for e in self.all_elements():
-            if e.element_id == element_id:
-                return e
-        known = ", ".join(e.element_id for e in self.all_elements())
-        raise ValueError(
-            f"bench {self.name!r} has no element {element_id!r} (known: {known})"
-        )
 
 
 @dataclass(frozen=True)
@@ -429,10 +443,10 @@ def _parse_element(text: str, source: str, line: int) -> OpticalElement:
     return element
 
 
-def _build(cls, source: str, line: int, *args):
-    """cls(*args); a value cls refuses is a BenchParseError at line."""
+def _build(rule, source: str, line: int, *args):
+    """rule(*args); a value the rule or type refuses is a BenchParseError at line."""
     try:
-        return cls(*args)
+        return rule(*args)
     except ValueError as err:
         raise BenchParseError(str(err), source, line) from None
 
@@ -509,18 +523,16 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
     # automatic ids count each kind over pre, arm A, then arm B
     placed.sort(key=lambda entry: _SECTIONS.index(entry[0]))
     kind_counts: dict[str, int] = {}
-    kind_of: dict[str, str] = {}  # element id -> kind
+    seen: set[str] = set()
     for i, (section, line, e) in enumerate(placed):
         kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
         if e.element_id is None:
             auto = f"{_KINDS[e.kind].prefix}{kind_counts[e.kind]}"
             e = dataclasses.replace(e, element_id=auto)
             placed[i] = (section, line, e)
-        if e.element_id in kind_of:
-            raise BenchParseError(
-                f"duplicate element id {e.element_id!r}", source, line
-            )
-        kind_of[e.element_id] = e.kind
+        _build(_check_new_id, source, line, seen, e)
+    pre, arm_a, arm_b = (tuple(e for s, _, e in placed if s == key)
+                         for key in _SECTIONS)
 
     split_line, combine_line = lines.get("split"), lines.get("combine")
     if first_arm_line is not None and split_line is None:
@@ -545,30 +557,19 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
                     f"unknown attribute {key!r} for sweep", source, line
                 )
         element_id = attrs["element"]
-        kind = kind_of.get(element_id)
-        if kind is None:
-            raise BenchParseError(
-                f"sweep references unknown element id {element_id!r}", source, line
-            )
-        if "angle" not in _KINDS[kind].attrs:
-            raise BenchParseError(
-                f"sweep element {element_id!r} is a {kind}, which has no angle",
-                source, line)
+        _build(_check_sweep_target, source, line, pre + arm_a + arm_b, element_id)
         bounds = [_parse_number(attrs[key], repr(key), source, line)
                   for key in ("from", "to", "step")]
         record = tuple(t.strip() for t in attrs.get("record", "").split(",")
                        if t.strip())
         sweeps.append(_build(SweepSpec, source, line, element_id, *bounds, record))
 
-    def section(key: str) -> tuple[OpticalElement, ...]:
-        return tuple(e for s, _, e in placed if s == key)
-
     return BenchDescription(
         name=values["bench"],
         input_state=values["input"],
-        pre=section("pre"),
-        arm_a=section("A"),
-        arm_b=section("B"),
+        pre=pre,
+        arm_a=arm_a,
+        arm_b=arm_b,
         split=split_line is not None,
         reflect=values.get("combine", "B"),
         sweeps=tuple(sweeps),
@@ -702,16 +703,16 @@ def run_bench(
 def set_element_angle(
     bench: BenchDescription, element_id: str, angle: float
 ) -> BenchDescription:
-    """Copy of the bench with one element's angle replaced."""
-    bench.find_element(element_id)
-    def swap(elems):
-        return tuple(
-            dataclasses.replace(e, angle=angle) if e.element_id == element_id else e
-            for e in elems
-        )
-    return dataclasses.replace(
-        bench, pre=swap(bench.pre), arm_a=swap(bench.arm_a), arm_b=swap(bench.arm_b)
-    )
+    """Copy of the bench with one element's angle replaced; a MIRROR or a VL
+    has no angle and refuses a nonzero one with ValueError."""
+    named = [e.element_id for e in bench.all_elements() if e.element_id is not None]
+    if element_id not in named:
+        raise ValueError(f"bench {bench.name!r} has no element {element_id!r} "
+                         f"(known: {', '.join(named)})")
+    return dataclasses.replace(bench, **{
+        key: tuple(dataclasses.replace(e, angle=angle) if e.element_id == element_id
+                   else e for e in getattr(bench, key))
+        for key in ("pre", "arm_a", "arm_b")})
 
 
 def run_sweep(
@@ -737,18 +738,14 @@ def run_sweep(
             f"(declared: {declared})"
         )
     spec = specs[0]
-    bench.find_element(spec.element_id)
     input_state = _input_state(bench, input_state)
     ops = _operators(bench)
-    swept = [
-        (row, i, e)
-        for row, elems in zip(ops, (bench.pre, bench.arm_a, bench.arm_b))
-        for i, e in enumerate(elems)
-        if e.element_id == spec.element_id
-    ]
+    # BenchDescription holds exactly one element with the swept id
+    row, i, e = next(
+        (row, i, e) for row, elems in zip(ops, (bench.pre, bench.arm_a, bench.arm_b))
+        for i, e in enumerate(elems) if e.element_id == spec.element_id)
     values, frames = spec.values, []
     for v in values:
-        for row, i, e in swept:
-            row[i] = element_operator(dataclasses.replace(e, angle=float(v)))
+        row[i] = element_operator(dataclasses.replace(e, angle=float(v)))
         frames.append(_propagate(bench, ops, input_state))
     return SweepResult(sweep=spec, parameters=values, frames=tuple(frames))

@@ -13,6 +13,7 @@ import su6lab.algebra as alg
 import su6lab.optics as op
 import su6lab.serialize as ser
 import su6lab.state as st
+from su6lab import cli
 from su6lab.cli import main
 
 
@@ -361,6 +362,22 @@ def test_field_render_bubble_csv(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main(["bench"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,)"),
+     "Unable to allocate 8.00 GiB for an array with shape (1073741824,)"),
+    (MemoryError(), "MemoryError"),
+])
+def test_a_run_out_of_memory_exits_2_with_an_error_line(monkeypatch, capsys,
+                                                        exc, message):
+    # the command raises as an allocation would; nothing is allocated
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_state_eval", out_of_memory)
+    code, out, err = run_cli(capsys, "state", "eval", "--state", "basis_3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_bad_flag_value_is_usage_error(capsys):

@@ -10,12 +10,15 @@ and so the digests.
 """
 import hashlib
 import json
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from su6lab.cli import main
+from su6lab.optics import parse_bench, shipped_bench_path
 from test_acceptance import RECIPES
 
 GOLDEN = {
@@ -181,3 +184,81 @@ print(json.dumps(got))
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == GOLDEN
+
+
+# ------------------------------------------------------------- bench parser
+
+# bench texts that reach every parser rule: the shipped benches without
+# their comment header and a one-line bench with every kind, each cut and
+# spliced with these words and statements
+_BENCH_BASES = (
+    *(re.sub(r"(?m)^#.*\n", "", shipped_bench_path(name).read_text())
+      for name in ("fig1", "antiskyrmion")),
+    'bench "k;#" ; input state=in.json ; pre: POLARIZER angle=90 id=P / QWP angle=1 / '
+    "PH phase=5 / VORTEX_LENS chirality=L flipped=true id=V / M  # all kinds\n"
+    "sweep element=PH1 from=0 to=10 step=5 ; sweep element=P from=0 to=1 step=1",
+)
+_BENCH_WORDS = (
+    "HWP angle=10", "QWP angle=-45", "MIRROR", "M", "VL", "VORTEX_LENS chirality=L",
+    "POLARIZER angle=90", "PHASE angle=1", "PH phase=5", "PL angle=1", "/ M",
+    "/ VL", "/ HWP angle=1", "id=M1", "id=HWP1", "id=VL1", "id=PH1", "id=",
+    "id=X", "id=M2", "element=PH1", "element=X", "element=M2", "element=V",
+    "element=", "angle=", "angle=nan", "flipped=true", "flipped=yes",
+    "chirality=Q", "record=torus", "record=", "step=0", "step=3", "from=5",
+    "to=-5", "to=1e308", "/", ";", "#", '"', "\n", "=",
+)
+_BENCH_STATEMENTS = (
+    *(f"sweep element={eid} from=0 to=10 step=5"
+      for eid in ("M1", "M2", "VL1", "V", "M3", "HWP9", "PH1", "HWP1", "X")),
+    "sweep element=X from=nan to=1 step=1", "split PBS", "combine NPBS reflect=A",
+    "arm A: M", "arm B: VL id=X", "pre: M id=M1", "pre: HWP angle=1 id=V",
+    "pre: VL / HWP angle=3", "input state=x", 'bench "b"',
+)
+
+
+def _mutated_bench(rng: random.Random) -> str:
+    """One of the base texts after one to three random cuts and splices."""
+    text = rng.choice(_BENCH_BASES)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(8)
+        # most edits fall on a word boundary
+        gaps = [m.start() for m in re.finditer(r"\s", text)] or [0]
+        at = rng.choice(gaps) if edit else rng.randrange(len(text) + 1)
+        lines = text.split("\n")
+        if edit < 2:  # insert a word
+            text = f"{text[:at]} {rng.choice(_BENCH_WORDS)} {text[at:]}"
+        elif edit == 2:  # cut a few characters
+            text = text[:at] + text[at + rng.randint(1, 12):]
+        elif edit == 3:  # replace one word
+            words = re.split(r"(\s+)", text)
+            words[2 * rng.randrange((len(words) + 1) // 2)] = rng.choice(_BENCH_WORDS)
+            text = "".join(words)
+        else:
+            if edit < 6:  # add a statement
+                lines.insert(rng.randrange(1, len(lines) + 1),
+                             rng.choice(_BENCH_STATEMENTS))
+            elif edit == 6:  # repeat a line
+                lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(lines))
+            else:  # drop a line
+                del lines[rng.randrange(len(lines))]
+            text = "\n".join(lines)
+    return text
+
+
+def _parse_outcome(text: str) -> tuple:
+    """(repr, "", 0) of the parsed bench, or (error type, message, line)."""
+    try:
+        return repr(parse_bench(text, source="m.bench")), "", 0
+    except Exception as err:  # any error type is part of the outcome
+        return type(err).__name__, str(err), getattr(err, "line", None)
+
+
+def test_parser_outcomes_on_mutated_benches_match_golden_digest():
+    # pins what parse_bench makes of 2,000 seeded mutations: the bench it
+    # returns, or the error type, message and line it refuses with
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        digest.update(repr(_parse_outcome(_mutated_bench(rng))).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "a7e9b0d849f7d8d3d25f166b7aa25a5fa71d45b0400f8df1626023b1a1fa7d8c")

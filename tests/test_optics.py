@@ -273,6 +273,102 @@ def test_benches_built_in_code_round_trip_or_are_refused(name, token, ids):
     assert op.parse_bench(op.serialize_bench(bench)) == bench
 
 
+def _swept(over, **sections):
+    """A bench with the sections given and one sweep over the id ``over``."""
+    return op.BenchDescription("x", "h_gaussian", split="arm_b" in sections,
+                               sweeps=(op.SweepSpec(over, 0.0, 10.0, 5.0),), **sections)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: elem("MIRROR", angle=5.0, element_id="M1"),
+     "MIRROR has no angle, got 5.0"),
+    (lambda: elem("VORTEX_LENS", angle=-1.0), "VORTEX_LENS has no angle, got -1.0"),
+    (lambda: elem("HWP", angle=1.0, flipped=True), "HWP has no flipped, got True"),
+    (lambda: _swept("X", pre=(elem("HWP", element_id="H"),)),
+     "sweep references unknown element id 'X'"),
+    (lambda: _swept("M1", pre=(elem("MIRROR", element_id="M1"), elem("HWP"))),
+     "sweep element 'M1' is a MIRROR, which has no angle"),
+    (lambda: _swept("VL1", pre=(elem("VORTEX_LENS"),)),
+     "sweep references unknown element id 'VL1'"),
+    (lambda: _swept(None, pre=(elem("HWP"), elem("HWP"))),
+     "sweep references unknown element id None"),
+    (lambda: _swept("VL1", arm_b=(elem("VORTEX_LENS", element_id="VL1"),)),
+     "sweep element 'VL1' is a VORTEX_LENS, which has no angle"),
+])
+def test_bench_types_refuse_what_the_text_cannot_carry(build, message):
+    # unrefused, a sweep over a mirror ran as frames that never changed and
+    # serialize_bench wrote text that parse_bench refuses; an angle or a
+    # flip on a kind without one was dropped from the text
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_set_element_angle_names_only_the_elements_with_an_id():
+    bench = op.BenchDescription("x", "h_gaussian", pre=(
+        elem("HWP", angle=1.0), elem("QWP", angle=2.0, element_id="Q"),
+        elem("MIRROR")))
+    with pytest.raises(ValueError) as err:
+        op.set_element_angle(bench, "X", 3.0)
+    assert str(err.value) == "bench 'x' has no element 'X' (known: Q)"
+    assert op.set_element_angle(bench, "Q", 3.0).pre[1].angle == 3.0
+    # a kind with no angle takes none, so the copy is refused when built
+    with pytest.raises(ValueError, match="^MIRROR has no angle, got 3.0$"):
+        op.set_element_angle(op.BenchDescription("y", "h_gaussian", pre=(
+            elem("MIRROR", element_id="M1"),)), "M1", 3.0)
+    assert op.set_element_angle(bench, "Q", 0.0).pre[2] == elem("MIRROR")
+
+
+@hs.composite
+def code_element_fields(draw):
+    """OpticalElement fields: the attributes of the kind, and in one draw in
+    eight an angle, chirality or flip on any kind; ids from a few names."""
+    kind = draw(hs.sampled_from(sorted(AUTO_PREFIX)))
+    stray = draw(hs.integers(0, 7)) == 0
+    lens = kind == "VORTEX_LENS" or stray
+    angle = (draw(hs.sampled_from([0.0, -0.0, 22.5, -1e-300, 7e300, 1 / 3]))
+             if kind in ANGLE_KINDS or stray else 0.0)
+    return (kind, angle, draw(hs.sampled_from("RL")) if lens else "R",
+            draw(hs.booleans()) if lens else False,
+            draw(hs.sampled_from(["H", "M1", "VL1", "a.b", "", "Q", "P2", "x", "PH1",
+                                  "HWP3", "id=", "b\"c"])))
+
+
+@hs.composite
+def code_benches(draw):
+    """A BenchDescription built in code from drawn fields, or None when a
+    type refuses them; ids may repeat, and a sweep names a drawn id or X."""
+    split = draw(hs.booleans())
+    sections = [draw(hs.lists(code_element_fields(), max_size=3 if key == "pre" or split
+                              else 0)) for key in ("pre", "A", "B")]
+    ids = [fields[-1] for section in sections for fields in section] + ["X"]
+    sweeps = draw(hs.lists(hs.tuples(
+        hs.sampled_from(ids), hs.sampled_from([-90.0, 0.0, 12.5]), hs.integers(0, 4),
+        hs.lists(hs.sampled_from(op.RECORD_NAMES), max_size=2).map(tuple)),
+        max_size=2))
+    name = draw(hs.sampled_from(["b", "a b;#"]))
+    reflect = draw(hs.sampled_from("AB")) if split else "B"
+    try:
+        return op.BenchDescription(
+            name, "h_gaussian",
+            *(tuple(op.OpticalElement(*fields) for fields in s) for s in sections),
+            split, reflect,
+            tuple(op.SweepSpec(eid, start, start + 5.0 * n, 5.0, record)
+                  for eid, start, n, record in sweeps))
+    except ValueError:
+        return None
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(code_benches())
+def test_every_bench_the_types_accept_round_trips(bench):
+    if bench is None:
+        return
+    text = op.serialize_bench(bench)
+    assert op.parse_bench(text) == bench
+    assert op.serialize_bench(op.parse_bench(text)) == text
+
+
 # ---------------------------------------------------------------- parser
 
 VALID_BENCH = """\
@@ -912,14 +1008,15 @@ def test_sweep_frames_equal_single_runs(case, given_input, n0):
 def test_sweep_errors_keep_their_text_and_order():
     plate = op.OpticalElement("HWP", 0.0, element_id="H")
     crossed = op.OpticalElement("POLARIZER", 90.0, element_id="P")
-    bench = op.BenchDescription("o", "in.json", pre=(plate, crossed),
-                                sweeps=(op.SweepSpec("X", 0.0, 10.0, 5.0),
-                                        op.SweepSpec("H", 0.0, 10.0, 5.0)))
-    h_in = st.named_state("h_gaussian")
-    # an unknown id comes before the file input, which comes before extinction
+    # an unknown id is refused when the bench is built
     with pytest.raises(ValueError) as err:
-        op.run_sweep(bench, "X", input_state=h_in)
-    assert str(err.value) == "bench 'o' has no element 'X' (known: H, P)"
+        op.BenchDescription("o", "in.json", pre=(plate, crossed),
+                            sweeps=(op.SweepSpec("X", 0.0, 10.0, 5.0),))
+    assert str(err.value) == "sweep references unknown element id 'X'"
+    bench = op.BenchDescription("o", "in.json", pre=(plate, crossed),
+                                sweeps=(op.SweepSpec("H", 0.0, 10.0, 5.0),))
+    h_in = st.named_state("h_gaussian")
+    # the file input comes before extinction
     file_input = (
         "input state 'in.json' is not a named state; load the file yourself "
         "and pass input_state explicitly"
