@@ -77,7 +77,6 @@ class GeneratorBasis:
 
     matrices: np.ndarray          # (35, 6, 6) complex, tr(b_l b_m) = 2 delta
     labels: tuple[str, ...]       # family tags, e.g. "s2", "o5", "s1o4"
-    version: str = BASIS_VERSION
 
     def index(self, label: str) -> int:
         try:
@@ -93,7 +92,6 @@ class AdjointRep:
 
     matrices: np.ndarray          # (35, 35, 35) real antisymmetric
     closure_constant: float
-    version: str = BASIS_VERSION
 
 
 @lru_cache(maxsize=1)

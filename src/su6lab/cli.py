@@ -218,7 +218,7 @@ def cmd_algebra_verify(args) -> int:
         "pass": not failed,
         "failed": failed,
         "residuals": residuals,
-        "basis_version": basis.version,
+        "basis_version": algebra.BASIS_VERSION,
     })
     return 1 if failed else 0
 
@@ -229,13 +229,13 @@ def cmd_algebra_export(args) -> int:
     adj = algebra.adjoint_matrices(g)
     files = []
     _write_file(args, files, "basis.json", serialize.json_text({
-        "version": basis.version,
+        "version": algebra.BASIS_VERSION,
         "labels": list(basis.labels),
         "matrices": basis.matrices,
     }))
     entries = serialize.g_tensor_entries(g)
     _write_file(args, files, "g_tensor.json", serialize.json_text({
-        "version": basis.version,
+        "version": algebra.BASIS_VERSION,
         "noise_cutoff": serialize.NOISE_CUTOFF,
         "entries": entries,
     }), noise_cutoff=serialize.NOISE_CUTOFF)
@@ -243,7 +243,7 @@ def cmd_algebra_export(args) -> int:
                 columns=["l", "m", "n", "value"],
                 noise_cutoff=serialize.NOISE_CUTOFF)
     _write_file(args, files, "adjoint.json", serialize.json_text({
-        "version": adj.version,
+        "version": algebra.BASIS_VERSION,
         "closure_constant": adj.closure_constant,
         "matrices": adj.matrices,
     }))
@@ -420,11 +420,10 @@ def cmd_field_render(args) -> int:
                          "empty_bins": int((tm.counts == 0).sum())}
 
     if args.skyrmion_number:
-        obj["skyrmion_number"] = {
-            "finite_difference": field.skyrmion_number(sf),
-            "solid_angle": field.skyrmion_number_solid_angle(sf),
-            "disk_radius": grid.extent,
-        }
+        q = field.topological_charge(sf)
+        obj["skyrmion_number"] = {"finite_difference": q.finite_difference,
+                                  "solid_angle": q.solid_angle,
+                                  "disk_radius": q.disk_radius}
 
     obj["files"] = files
     _emit(obj)

@@ -13,8 +13,7 @@ entry each (sizes at grid 1024): the three modes per grid and waist
 reach per grid and disk radius (2 MB), and the bubble bin of every disk
 pixel with the pixel count of every bin per grid, radius, bins and
 profile (6.3 MB for a disk of the grid's extent).  The grid keeps its
-radius and azimuth (16 MB); it builds them from its axis, so the x and y
-grids exist only when the field CSV asks for them.
+radius and azimuth (16 MB).
 
 The topological charge is computed two independent ways:
 
@@ -103,6 +102,12 @@ class TransverseGrid:
         if int(self.size) != self.size or self.size < MIN_GRID:
             raise ValueError(f"size must be an integer >= {MIN_GRID}, got {self.size}")
         positive_finite("extent", self.extent)
+        # in Python floats, so numpy does not warn: a pixel area that over- or
+        # underflows would reach the modes and be blamed on the waist
+        h = 2.0 * float(self.extent) / int(self.size)
+        if not 0 < h * h < np.inf:
+            raise ValueError(f"extent {self.extent} on a grid of size {self.size} "
+                             "gives a pixel area that is zero or not finite")
 
     @property
     def spacing(self) -> float:
@@ -117,16 +122,6 @@ class TransverseGrid:
         h = self.spacing
         return -self.extent + h * (np.arange(self.size) + 0.5)
 
-    @cached_property
-    def xx(self) -> np.ndarray:
-        return np.meshgrid(self.axis, self.axis, indexing="xy")[0]
-
-    @cached_property
-    def yy(self) -> np.ndarray:
-        return np.meshgrid(self.axis, self.axis, indexing="xy")[1]
-
-    # rr and phi take x and y from the broadcast axis: the same bits as
-    # from xx and yy, without keeping those two grids alive
     @cached_property
     def rr(self) -> np.ndarray:
         return np.hypot(self.axis[None, :], self.axis[:, None])
@@ -336,20 +331,18 @@ def _plaquette_solid_angles(spins):
     return omega.reshape(rows - 1, cols)[:, :-1]
 
 
-def _by_strips(kernel, out, values, before, after, active=None):
+def _by_strips(kernel, out, values, before, after, active):
     # out[i, j] = kernel(values rows i - before .. i + after, columns
     # j - before .. j + after)[i, j], one strip of rows at a time so the
     # kernel's temporaries stay in cache.  A strip spans only the columns of
-    # its active cells (all by default); cells outside keep what the caller
-    # put in out.  The window is clipped at the grid edge, never at the
-    # span's, so the kernel applies its border rules where they belong
+    # its active cells; cells outside keep what the caller put in out.  The
+    # window is clipped at the grid edge, never at the span's, so the kernel
+    # applies its border rules where they belong
     for i in range(0, out.shape[0], _STRIP):
-        c0, c1 = 0, out.shape[1]
-        if active is not None:
-            cols = np.flatnonzero(active[i:i + _STRIP].any(axis=0))
-            if not cols.size:
-                continue
-            c0, c1 = cols[0], cols[-1] + 1
+        cols = np.flatnonzero(active[i:i + _STRIP].any(axis=0))
+        if not cols.size:
+            continue
+        c0, c1 = cols[0], cols[-1] + 1
         lo, left = max(i - before, 0), max(c0 - before, 0)
         out[i:i + _STRIP, c0:c1] = kernel(
             values[:, lo:i + _STRIP + after, left:c1 + after]

@@ -159,6 +159,8 @@ class OpticalElement:
             if attr not in row.attrs and value != default:
                 raise ValueError(f"{self.kind} has no {attr}, got {value!r}")
         eid = self.element_id
+        if not isinstance(eid, (str, type(None))):
+            raise ValueError(f"element id must be a string, got {eid!r}")
         if eid is not None and not re.fullmatch(r"[^\s/;#]*", eid):
             raise ValueError("element id must not contain whitespace, '/', ';' or "
                              f"'#', got {eid!r}")
@@ -188,6 +190,9 @@ class SweepSpec:
                              f"{MAX_SWEEP_FRAMES}")
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ValueError("sweep span is not an integer number of steps")
+        if not isinstance(self.record, tuple):
+            raise ValueError("sweep record must be a tuple of record names, got "
+                             f"{self.record!r}")
         for token in self.record:
             if token not in RECORD_NAMES:
                 raise ValueError(f"unknown record name {token!r} "
@@ -243,6 +248,9 @@ class BenchDescription:
     def __post_init__(self) -> None:
         # the name is written between double quotes on one line, the input
         # token as one word of a statement
+        for what, value in (("bench name", self.name), ("input state", self.input_state)):
+            if not isinstance(value, str):
+                raise ValueError(f"{what} must be a string, got {value!r}")
         if '"' in self.name or len(f".{self.name}.".splitlines()) > 1:
             raise ValueError("bench name must not contain a double quote or a "
                              f"line break, got {self.name!r}")

@@ -16,13 +16,13 @@ so the temporary text arrays stay small at large grids.
 """
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 
 from .algebra import BASIS_VERSION
 from .state import (
+    _TORUS_TOL,
     CoherentState,
     antiskyrmion_sphere,
     oam_sphere,
@@ -99,6 +99,11 @@ def _csv(columns, *arrays) -> str:
     return "".join(chunks)
 
 
+# what JSON forbids raw in a string: backslash, quote, controls below U+0020
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\t"): "\\t"}
+
+
 def _json_value(value, indent: str, depth: int) -> str:
     pad = indent * (depth + 1)
     close = indent * depth
@@ -115,12 +120,10 @@ def _json_value(value, indent: str, depth: int) -> str:
     if isinstance(value, (complex, np.complexfloating)):
         return _json_value([value.real, value.imag], indent, depth)
     if isinstance(value, str):
-        out = value
-        for raw, esc in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\t", "\\t")):
-            out = out.replace(raw, esc)
-        return f'"{out}"'
+        return f'"{value.translate(_JSON_ESCAPES)}"'
     if isinstance(value, np.ndarray):
-        if value.dtype.kind in "fc" and np.can_cast(value.dtype, np.complex128):
+        if (value.ndim and value.size and value.dtype.kind in "fc"
+                and np.can_cast(value.dtype, np.complex128)):
             return _json_array(value, indent, depth)
         return _json_value(value.tolist(), indent, depth)
     if isinstance(value, dict):
@@ -144,24 +147,17 @@ def _json_value(value, indent: str, depth: int) -> str:
 
 
 def _json_array(a: np.ndarray, indent: str, depth: int) -> str:
-    """A float or complex array as _json_value prints ``a.tolist()``:
-    innermost lists inline, outer lists one item per line, a complex
-    value as its [re, im] pair and non-finite values as null."""
+    """A non-empty float or complex array as _json_value prints
+    ``a.tolist()``: innermost lists inline, outer lists one item per line,
+    a complex value as its [re, im] pair and non-finite values as null.
+    0-d and empty arrays take the tolist() path, which prints the same."""
     if a.dtype.kind == "c":
         a = np.stack([a.real, a.imag], axis=-1)
     texts, inverse = _distinct_text(a, nonfinite="null")
-    if a.ndim == 0:
-        return texts[inverse[()]]
     shape = a.shape
-    if 0 in shape:
-        # a zero-length axis prints as [] and hides the axes inside it
-        levels = shape.index(0)
-        items = ["[]"] * math.prod(shape[:levels])
-    else:
-        levels = a.ndim - 1
-        items = ["[" + ", ".join(row) + "]"
-                 for row in texts[inverse].reshape(-1, shape[-1]).tolist()]
-    for k in reversed(range(levels)):
+    items = ["[" + ", ".join(row) + "]"
+             for row in texts[inverse].reshape(-1, shape[-1]).tolist()]
+    for k in reversed(range(a.ndim - 1)):
         pad = indent * (depth + k + 1)
         head, sep = "[\n" + pad, ",\n" + pad
         tail = "\n" + indent * (depth + k) + "]"
@@ -262,7 +258,7 @@ def trajectory_csv(parameters, frames) -> str:
         for sphere in (skyrmion_sphere, antiskyrmion_sphere, oam_sphere):
             row.extend(sphere(frame).coords)
         try:
-            torus = state_to_torus(frame, tol=1e-6)
+            torus = state_to_torus(frame, tol=_TORUS_TOL)
             row.extend([torus.theta_p, torus.phi_t])
         except ValueError:
             row.extend([np.nan, np.nan])
@@ -278,10 +274,10 @@ FIELD_COLUMNS = ("x", "y", "S0", "S1", "S2", "S3", "nx", "ny", "nz")
 
 def field_csv(sf) -> str:
     """Pixel rows in array order (y rising slowest, x fastest)."""
-    g = sf.grid
-    planes = (g.xx, g.yy, sf.s0, sf.s1, sf.s2, sf.s3,
-              sf.n[..., 0], sf.n[..., 1], sf.n[..., 2])
-    return _csv(FIELD_COLUMNS, *(p.ravel() for p in planes))
+    axis = sf.grid.axis
+    planes = (sf.s0, sf.s1, sf.s2, sf.s3, sf.n[..., 0], sf.n[..., 1], sf.n[..., 2])
+    return _csv(FIELD_COLUMNS, np.tile(axis, axis.size), np.repeat(axis, axis.size),
+                *(p.ravel() for p in planes))
 
 
 def pgm_bytes(channel: np.ndarray) -> tuple[bytes, float, float]:

@@ -338,6 +338,9 @@ _ANTISKYRMION_CARDINALS = (
     (np.array([1.0, 0.0, 0.0]), "antiskyrmion_h"),
     (np.array([-1.0, 0.0, 0.0]), "antiskyrmion_v"),
 )
+# how far off the torus family a state may lie and still get torus
+# angles, in the labels here and in the trajectory CSV
+_TORUS_TOL = 1e-6
 # named points of the torus: (label, theta_p, phi_t)
 _TORUS_CARDINALS = (
     ("dipolar", np.pi / 2, 0.0),
@@ -382,7 +385,7 @@ def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
         return _pair_label(_unit_coords(state, algebra.antiskyrmion_generators()),
                            _ANTISKYRMION_CARDINALS, tol)
     try:
-        tp = state_to_torus(state, tol=1e-6)
+        tp = state_to_torus(state, tol=_TORUS_TOL)
     except ValueError:
         return "intermediate"
     for label, theta_p, phi_t in _TORUS_CARDINALS:

@@ -171,6 +171,18 @@ def test_non_finite_extent_is_usage_error(tmp_path, capsys):
     assert "must be positive and finite, got 'inf'" in err
 
 
+@pytest.mark.parametrize("extent", ["1e308", "1e200", "1e-200"])
+def test_extent_without_a_finite_pixel_area_exits_2_naming_it(tmp_path, capsys,
+                                                              extent):
+    # it once reached the modes and was blamed on the waist
+    code, out, err = run_cli(capsys, "field", "render", "--state", "neel_out",
+                             "--grid", "16", "--extent", extent,
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: extent {float(extent)} on a grid of size 16 gives a "
+                   "pixel area that is zero or not finite\n")
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -250,6 +262,19 @@ def test_bench_unknown_input_token_exits_2_naming_it(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unknown bench input 'no_such_state'; named states: " in err
+
+
+def test_bench_named_with_control_characters_writes_json_that_parses(tmp_path,
+                                                                      capsys):
+    name = "a\x01b\x1fc"
+    path = tmp_path / "ctrl.bench"
+    path.write_text(f'bench "{name}"\ninput state=h_gaussian\n')
+    code, out, _ = run_cli(capsys, "bench", "run", "--bench", str(path),
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["bench"] == name
+    sidecar = json.loads((tmp_path / "camera_state.json.json").read_text())
+    assert sidecar["bench"] == name
 
 
 def test_bench_run_unknown_bench_name(capsys):

@@ -224,6 +224,24 @@ def test_bench_types_refuse_text_the_parser_cannot_read(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: op.SweepSpec("H", 0.0, 10.0, 5.0, record="torus"),
+     "sweep record must be a tuple of record names, got 'torus'"),
+    (lambda: elem("HWP", angle=1.0, element_id=5),
+     "element id must be a string, got 5"),
+    (lambda: op.BenchDescription(name=5, input_state="h_gaussian"),
+     "bench name must be a string, got 5"),
+    (lambda: op.BenchDescription("x", input_state=None),
+     "input state must be a string, got None"),
+])
+def test_bench_types_refuse_values_of_the_wrong_type(build, message):
+    # unrefused, a string record was read letter by letter and the others
+    # raised TypeError from the text checks
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("sections", [
     {"pre": ("H", "H")},
     {"pre": ("H",), "arm_b": ("H",)},

@@ -7,6 +7,7 @@ bytes from both on values chosen to be awkward: signed zeros,
 subnormals, infinities, nan, 17-digit boundary values, float32 and
 complex arrays, empty arrays, and tables cut into blocks mid-array.
 """
+import json
 from types import SimpleNamespace
 from unittest import mock
 
@@ -85,8 +86,8 @@ def ref_json_text(obj):
 
 
 def ref_field_csv(sf):
-    g = sf.grid
-    cols = [g.xx, g.yy, sf.s0, sf.s1, sf.s2, sf.s3,
+    xx, yy = np.meshgrid(sf.grid.axis, sf.grid.axis, indexing="xy")
+    cols = [xx, yy, sf.s0, sf.s1, sf.s2, sf.s3,
             sf.n[..., 0], sf.n[..., 1], sf.n[..., 2]]
     data = np.column_stack([c.ravel() for c in cols])
     lines = [",".join(ser.FIELD_COLUMNS)]
@@ -164,6 +165,13 @@ def test_json_writes_null_where_csv_writes_nan():
     c = np.array([complex(np.nan, -0.0), complex(np.inf, 1.0),
                   complex(-0.0, -np.inf)])
     assert ser.json_text(c) == "[\n  [null, -0],\n  [null, 1],\n  [-0, null]\n]\n"
+
+
+def test_json_escapes_every_control_character():
+    text = "".join(map(chr, range(0x20))) + '"\\'
+    assert json.loads(ser.json_text({text: [text]})) == {text: [text]}
+    # newline and tab keep their short escapes
+    assert ser.json_text("a\nb\tc\x01") == '"a\\nb\\tc\\u0001"\n'
 
 
 @pytest.mark.parametrize("value, text", [
@@ -255,20 +263,21 @@ def test_json_arrays_match_per_value_reference(array, depth):
     assert ser.json_text(obj) == ref_json_text(obj)
 
 
-def fake_field(draw, rows, cols):
-    plane = hnp.arrays(np.float64, (rows, cols), elements=FLOATS)
-    xx, yy, s0, s1, s2, s3 = (draw(plane) for _ in range(6))
+def fake_field(draw, size):
+    axis = draw(hnp.arrays(np.float64, size, elements=FLOATS))
+    plane = hnp.arrays(np.float64, (size, size), elements=FLOATS)
+    s0, s1, s2, s3 = (draw(plane) for _ in range(4))
     # the spin planes as stokes_fields lays them out: component-major
-    n = np.moveaxis(draw(hnp.arrays(np.float64, (3, rows, cols),
+    n = np.moveaxis(draw(hnp.arrays(np.float64, (3, size, size),
                                     elements=FLOATS)), 0, -1)
-    return SimpleNamespace(grid=SimpleNamespace(xx=xx, yy=yy),
+    return SimpleNamespace(grid=SimpleNamespace(axis=axis),
                            s0=s0, s1=s1, s2=s2, s3=s3, n=n)
 
 
 @PROPERTY
-@given(hs.data(), hs.integers(0, 5), hs.integers(0, 5), blocks())
-def test_field_csv_matches_per_value_reference(data, rows, cols, block):
-    sf = fake_field(data.draw, rows, cols)
+@given(hs.data(), hs.integers(0, 5), blocks())
+def test_field_csv_matches_per_value_reference(data, size, block):
+    sf = fake_field(data.draw, size)
     with mock.patch.object(ser, "_BLOCK_CELLS", block):
         assert ser.field_csv(sf) == ref_field_csv(sf)
 
