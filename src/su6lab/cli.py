@@ -40,30 +40,34 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
+def _flag_value(convert, text: str, accept, expected: str):
+    """convert(text) if accept() takes it, else a usage error saying what
+    the flag ``expected``."""
+    try:
+        value = convert(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _flag_value(float, text, lambda v: 0 < v < np.inf,
+                       "must be positive and finite")
 
 
 def _grid_size(text: str) -> int:
-    value = int(text)
-    if value < st.MIN_GRID:
-        raise argparse.ArgumentTypeError(
-            f"grid size must be >= {st.MIN_GRID}, got {text!r}")
-    return value
+    return _flag_value(int, text, lambda n: n >= st.MIN_GRID,
+                       f"grid size must be an integer >= {st.MIN_GRID}")
 
 
 def _bins(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("bins must be THETA,PHI, e.g. 32,64")
-    n_theta, n_phi = (int(p) for p in parts)
-    if n_theta < 1 or n_phi < 1:
-        raise argparse.ArgumentTypeError("bin counts must be positive")
-    return n_theta, n_phi
+    return tuple(_flag_value(int, p, lambda n: n >= 1,
+                             "bin counts must be positive integers") for p in parts)
 
 
 def _common() -> argparse.ArgumentParser:
@@ -300,8 +304,11 @@ def _load_bench(token: str) -> optics.BenchDescription:
         path = token
     else:
         path = optics.shipped_bench_path(token)
-    with open(path, encoding="utf-8") as fh:
-        return optics.parse_bench(fh.read(), source=token)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return optics.parse_bench(fh.read(), source=token)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{token}: {exc}") from None
 
 
 def cmd_bench_run(args) -> int:

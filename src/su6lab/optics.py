@@ -55,13 +55,13 @@ validated and echoed into the trajectory sidecar; it selects no output
 fixed element operator once and rebuilds only the swept one per frame.
 
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
-that break these rules (non-finite numbers, an angle, chirality or flip
-on a kind without one, a reflect other than A or B, arms or reflect=A
-without a split, a name, input token or element id that the text cannot
-hold, two elements with one id, a sweep over an unknown id or a kind
-without an angle) when built; ``parse_bench`` calls the same rules and
-re-raises a refusal at its line.  A run's input is ``input_state`` or the
-named input state.
+that break these rules (numbers that are not real and finite, an angle,
+chirality or flip on a kind without one, a reflect other than A or B,
+arms or reflect=A without a split, a name, input token or element id that
+the text cannot hold, two elements with one id, a sweep over an unknown
+id or a kind without an angle) when built; ``parse_bench`` calls the same
+rules and reports a refusal at the line of the statement being read.  A
+run's input is ``input_state`` or the named input state.
 
 Waveplate and polarizer matrices follow the usual Jones conventions in
 the linear basis and are conjugated into the circular basis used by the
@@ -83,7 +83,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .serialize import format_float
-from .state import R2, CoherentState, _norm, named_state, state_names
+from .state import (R2, CoherentState, _finite, _is_finite, _norm, named_state,
+                    state_names)
 
 __all__ = [
     "BenchDescription",
@@ -122,7 +123,7 @@ _SWEEP_ATTRS = ("element", "from", "to", "step", "record")  # all but record req
 # the statement does not fit the form); a form's group is the value
 _ONCE = {
     "bench": (r'bench\s+"([^"]*)"', "bench name must be double-quoted"),
-    "input": (r"input\s+state=(\S+)",
+    "input": (r"input\s+state=([^\s;#]+)",  # one token, as BenchDescription requires
               "input statement must be 'input state=<token>'"),
     "split": (r"split\s+PBS", "splitter must be PBS"),
     "combine": (r"combine\s+NPBS\s+reflect=(\S+)",
@@ -151,8 +152,7 @@ class OpticalElement:
             raise ValueError(f"chirality must be L or R, got {self.chirality!r}")
         if not isinstance(self.flipped, bool):
             raise ValueError(f"flipped must be True or False, got {self.flipped!r}")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"element angle must be finite, got {self.angle}")
+        _finite("element angle", self.angle)
         # the text leaves out what a kind has not, so it must keep its default
         for attr, default in (("angle", 0.0), ("chirality", "R"), ("flipped", False)):
             value = getattr(self, attr)
@@ -177,8 +177,13 @@ class SweepSpec:
     record: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # None is left to BenchDescription, which names it as an unknown id
+        if not isinstance(self.element_id, (str, type(None))):
+            raise ValueError("sweep element id must be a string, got "
+                             f"{self.element_id!r}")
         bounds = (self.start, self.stop, self.step)
-        if not all(map(math.isfinite, bounds)):
+        if not all(_is_finite(f"sweep {key}", value)
+                   for key, value in zip(("from", "to", "step"), bounds)):
             raise ValueError(f"sweep from, to and step must be finite, got {bounds}")
         if self.step == 0.0:
             raise ValueError("sweep step must be nonzero")
@@ -208,7 +213,7 @@ class SweepSpec:
 
 
 # the bench rules: BenchDescription checks every bench with them, and
-# parse_bench calls them through _build at the statement's line
+# parse_bench reports their refusals at the line of the statement being read
 def _check_reflect(reflect: str) -> None:
     """Refuse a reflect (the NPBS arm that gets the mirror flip) other than A or B."""
     if reflect not in ("A", "B"):
@@ -405,74 +410,67 @@ def _statements(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_number(value: str, what: str, source: str, line: int) -> float:
+def _parse_number(value: str, what: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise BenchParseError(
-            f"attribute {what} is not a number: {value!r}", source, line
-        ) from None
+        raise ValueError(f"attribute {what} is not a number: {value!r}") from None
     if not math.isfinite(number):
-        raise BenchParseError(
-            f"attribute {what} is not a finite number: {value!r}", source, line
-        )
+        raise ValueError(f"attribute {what} is not a finite number: {value!r}")
     return number
 
 
-def _parse_element(text: str, source: str, line: int) -> OpticalElement:
+def _parse_element(text: str) -> OpticalElement:
     token, *words = text.split()
     kind = _TOKEN_KIND.get(token)
     if kind is None:
-        raise BenchParseError(f"unknown element kind {token!r}", source, line)
-    attrs = _parse_keyvals(words, token, source, line)
+        raise ValueError(f"unknown element kind {token!r}")
+    attrs = _parse_keyvals(words, token)
     if kind == "PHASE" and "phase" in attrs:
         if "angle" in attrs:
-            raise BenchParseError("duplicate attribute 'angle'", source, line)
+            raise ValueError("duplicate attribute 'angle'")
         attrs["angle"] = attrs.pop("phase")
     allowed = _KINDS[kind].attrs
     for key in attrs:
         if key != "id" and key not in allowed:
-            raise BenchParseError(
-                f"unknown attribute {key!r} for {token}", source, line
-            )
+            raise ValueError(f"unknown attribute {key!r} for {token}")
     angle = 0.0
     if "angle" in allowed:
         if "angle" not in attrs:
-            raise BenchParseError(f"{token} requires attribute 'angle'", source, line)
-        angle = _parse_number(attrs["angle"], "'angle'", source, line)
+            raise ValueError(f"{token} requires attribute 'angle'")
+        angle = _parse_number(attrs["angle"], "'angle'")
     flipped = attrs.get("flipped", "false")
     # built before the flipped check, so a bad chirality is reported first
-    element = _build(OpticalElement, source, line, kind, angle,
-                     attrs.get("chirality", "R"), flipped == "true", attrs.get("id"))
+    element = OpticalElement(kind, angle, attrs.get("chirality", "R"),
+                             flipped == "true", attrs.get("id"))
     if flipped not in ("true", "false"):
-        raise BenchParseError(
-            f"flipped must be true or false, got {flipped!r}", source, line
-        )
+        raise ValueError(f"flipped must be true or false, got {flipped!r}")
     return element
 
 
-def _build(rule, source: str, line: int, *args):
-    """rule(*args); a value the rule or type refuses is a BenchParseError at line."""
-    try:
-        return rule(*args)
-    except ValueError as err:
-        raise BenchParseError(str(err), source, line) from None
-
-
-def _parse_keyvals(parts: list[str], stmt: str, source: str, line: int):
+def _parse_keyvals(parts: list[str], stmt: str) -> dict[str, str]:
     attrs: dict[str, str] = {}
     for part in parts:
         if "=" not in part:
-            raise BenchParseError(
-                f"malformed {stmt} attribute {part!r}, expected key=value",
-                source,
-                line,
-            )
+            raise ValueError(f"malformed {stmt} attribute {part!r}, expected key=value")
         key, value = part.split("=", 1)
         if key in attrs:
-            raise BenchParseError(f"duplicate attribute {key!r}", source, line)
+            raise ValueError(f"duplicate attribute {key!r}")
         attrs[key] = value
     return attrs
+
+
+def _parse_sweep(attrs: dict[str, str], elements) -> SweepSpec:
+    for req in _SWEEP_ATTRS[:4]:
+        if req not in attrs:
+            raise ValueError(f"sweep requires attribute {req!r}")
+    for key in attrs:
+        if key not in _SWEEP_ATTRS:
+            raise ValueError(f"unknown attribute {key!r} for sweep")
+    _check_sweep_target(elements, attrs["element"])
+    bounds = [_parse_number(attrs[key], repr(key)) for key in ("from", "to", "step")]
+    record = tuple(t.strip() for t in attrs.get("record", "").split(",") if t.strip())
+    return SweepSpec(attrs["element"], *bounds, record)
 
 
 def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
@@ -480,97 +478,79 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
 
     Raises BenchParseError with the 1-based source line on any problem.
     """
-    stmts = _statements(text)
-    if not stmts:
-        raise BenchParseError("empty bench file", source, 1)
+    line = 1  # the line of the statement being read
+    try:
+        stmts = _statements(text)
+        if not stmts:
+            raise ValueError("empty bench file")
 
-    lines: dict[str, int] = {}   # once-only statement head -> its line
-    values: dict[str, str] = {}  # head -> the value its form captures
-    placed: list[tuple[str, int, OpticalElement]] = []  # (section, line, element)
-    first_arm_line = None
-    sweeps_raw: list[tuple[int, dict[str, str]]] = []
+        lines: dict[str, int] = {}   # once-only head, or "arm" -> its first line
+        values: dict[str, str] = {}  # head -> the value its form captures
+        placed: list[tuple[str, int, OpticalElement]] = []  # (section, line, element)
+        sweeps_raw: list[tuple[int, dict[str, str]]] = []
 
-    for idx, (line, stmt) in enumerate(stmts):
-        head = stmt.split(None, 1)[0]
-        if idx == 0 and head != "bench":
-            raise BenchParseError(
-                "file must start with a bench statement", source, line
-            )
-        if head in _ONCE:
-            if head in lines:
-                raise BenchParseError(f"duplicate {head} statement", source, line)
-            form, message = _ONCE[head]
-            m = re.fullmatch(form, stmt)
-            if m is None:
-                raise BenchParseError(message, source, line)
-            if m.re.groups:
-                values[head] = m.group(1)
-            if head == "combine":
-                _build(_check_reflect, source, line, values[head])
-            lines[head] = line
-        elif m := re.fullmatch(r"(?:pre|arm\s+([AB]))\s*:\s*(.*)", stmt, re.S):
-            section = m.group(1) or "pre"
-            if section != "pre" and first_arm_line is None:
-                first_arm_line = line
-            for token in m.group(2).split("/"):
-                if token.strip():
-                    placed.append((section, line, _parse_element(token, source, line)))
-        elif head == "arm":
-            raise BenchParseError(
-                "arm statement must be 'arm A: ...' or 'arm B: ...'", source, line
-            )
-        elif head == "sweep":
-            attrs = _parse_keyvals(stmt.split()[1:], "sweep", source, line)
-            sweeps_raw.append((line, attrs))
-        else:
-            raise BenchParseError(f"unknown statement {head!r}", source, line)
+        for idx, (line, stmt) in enumerate(stmts):
+            head = stmt.split(None, 1)[0]
+            if idx == 0 and head != "bench":
+                raise ValueError("file must start with a bench statement")
+            if head in _ONCE:
+                if head in lines:
+                    raise ValueError(f"duplicate {head} statement")
+                form, message = _ONCE[head]
+                m = re.fullmatch(form, stmt)
+                if m is None:
+                    raise ValueError(message)
+                if m.re.groups:
+                    values[head] = m.group(1)
+                if head == "combine":
+                    _check_reflect(values[head])
+                lines[head] = line
+            elif m := re.fullmatch(r"(?:pre|arm\s+([AB]))\s*:\s*(.*)", stmt, re.S):
+                section = m.group(1) or "pre"
+                if section != "pre":
+                    lines.setdefault("arm", line)
+                for token in m.group(2).split("/"):
+                    if token.strip():
+                        placed.append((section, line, _parse_element(token)))
+            elif head == "arm":
+                raise ValueError("arm statement must be 'arm A: ...' or 'arm B: ...'")
+            elif head == "sweep":
+                sweeps_raw.append((line, _parse_keyvals(stmt.split()[1:], "sweep")))
+            else:
+                raise ValueError(f"unknown statement {head!r}")
 
-    if "input" not in values:
-        raise BenchParseError("missing input statement", source, stmts[-1][0])
+        if "input" not in values:  # line is the last statement's
+            raise ValueError("missing input statement")
 
-    # automatic ids count each kind over pre, arm A, then arm B
-    placed.sort(key=lambda entry: _SECTIONS.index(entry[0]))
-    kind_counts: dict[str, int] = {}
-    seen: set[str] = set()
-    for i, (section, line, e) in enumerate(placed):
-        kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
-        if e.element_id is None:
-            auto = f"{_KINDS[e.kind].prefix}{kind_counts[e.kind]}"
-            e = dataclasses.replace(e, element_id=auto)
-            placed[i] = (section, line, e)
-        _build(_check_new_id, source, line, seen, e)
-    pre, arm_a, arm_b = (tuple(e for s, _, e in placed if s == key)
-                         for key in _SECTIONS)
+        # automatic ids count each kind over pre, arm A, then arm B
+        placed.sort(key=lambda entry: _SECTIONS.index(entry[0]))
+        kind_counts: dict[str, int] = {}
+        seen: set[str] = set()
+        for i, (section, line, e) in enumerate(placed):
+            kind_counts[e.kind] = kind_counts.get(e.kind, 0) + 1
+            if e.element_id is None:
+                auto = f"{_KINDS[e.kind].prefix}{kind_counts[e.kind]}"
+                e = dataclasses.replace(e, element_id=auto)
+                placed[i] = (section, line, e)
+            _check_new_id(seen, e)
+        pre, arm_a, arm_b = (tuple(e for s, _, e in placed if s == key)
+                             for key in _SECTIONS)
 
-    split_line, combine_line = lines.get("split"), lines.get("combine")
-    if first_arm_line is not None and split_line is None:
-        raise BenchParseError(
-            "arm elements without a split statement", source, first_arm_line
-        )
-    if split_line is not None and combine_line is None:
-        raise BenchParseError("split without a combine statement", source, split_line)
-    if combine_line is not None and split_line is None:
-        raise BenchParseError(
-            "combine without a split statement", source, combine_line
-        )
+        # a statement without its partner, reported at the statement's line
+        for head, partner, message in (
+            ("arm", "split", "arm elements without a split statement"),
+            ("split", "combine", "split without a combine statement"),
+            ("combine", "split", "combine without a split statement"),
+        ):
+            if head in lines and partner not in lines:
+                line = lines[head]
+                raise ValueError(message)
 
-    sweeps = []
-    for line, attrs in sweeps_raw:
-        for req in _SWEEP_ATTRS[:4]:
-            if req not in attrs:
-                raise BenchParseError(f"sweep requires attribute {req!r}", source, line)
-        for key in attrs:
-            if key not in _SWEEP_ATTRS:
-                raise BenchParseError(
-                    f"unknown attribute {key!r} for sweep", source, line
-                )
-        element_id = attrs["element"]
-        _build(_check_sweep_target, source, line, pre + arm_a + arm_b, element_id)
-        bounds = [_parse_number(attrs[key], repr(key), source, line)
-                  for key in ("from", "to", "step")]
-        record = tuple(t.strip() for t in attrs.get("record", "").split(",")
-                       if t.strip())
-        sweeps.append(_build(SweepSpec, source, line, element_id, *bounds, record))
+        sweeps = []
+        for line, attrs in sweeps_raw:  # a loop, so the except sees line
+            sweeps.append(_parse_sweep(attrs, pre + arm_a + arm_b))
+    except ValueError as err:
+        raise BenchParseError(str(err), source, line) from None
 
     return BenchDescription(
         name=values["bench"],
@@ -578,7 +558,7 @@ def parse_bench(text: str, source: str = "<string>") -> BenchDescription:
         pre=pre,
         arm_a=arm_a,
         arm_b=arm_b,
-        split=split_line is not None,
+        split="split" in lines,
         reflect=values.get("combine", "B"),
         sweeps=tuple(sweeps),
     )

@@ -193,25 +193,26 @@ def save_state(path: str, state: CoherentState) -> None:
 def load_state(path: str) -> CoherentState:
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "alpha" not in obj:
-        raise ValueError(f"{path}: not a state file (missing 'alpha')")
-    pairs, n0 = obj["alpha"], obj.get("n0", 1.0)
-    if not isinstance(pairs, list) or len(pairs) != 6:
-        raise ValueError(f"{path}: 'alpha' must have 6 [re, im] pairs")
-    for pair in pairs:
-        # type(), not isinstance(): a json true is a bool, and so an int
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(type(x) in (int, float) for x in pair)):
-            raise ValueError(f"{path}: 'alpha' must have 6 [re, im] pairs of "
-                             f"real numbers, got {pair!r}")
-    if type(n0) not in (int, float):
-        raise ValueError(f"{path}: 'n0' must be a real number, got {n0!r}")
-    alpha = np.array([complex(re, im) for re, im in pairs])
+    # JSON and UTF-8 decoding errors are ValueErrors, so every refusal names the file
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict) or "alpha" not in obj:
+            raise ValueError("not a state file (missing 'alpha')")
+        pairs, n0 = obj["alpha"], obj.get("n0", 1.0)
+        if not isinstance(pairs, list) or len(pairs) != 6:
+            raise ValueError("'alpha' must have 6 [re, im] pairs")
+        for pair in pairs:
+            # type(), not isinstance(): a json true is a bool, and so an int
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(x) in (int, float) for x in pair)):
+                raise ValueError("'alpha' must have 6 [re, im] pairs of "
+                                 f"real numbers, got {pair!r}")
+        if type(n0) not in (int, float):
+            raise ValueError(f"'n0' must be a real number, got {n0!r}")
+        alpha = np.array([complex(re, im) for re, im in pairs])
         return CoherentState(alpha, n0=float(n0))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

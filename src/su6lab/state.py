@@ -51,10 +51,26 @@ _NAMED_AMPLITUDES: dict[str, list[complex]] = {
 
 
 def positive_finite(name: str, value):
-    """The value, refused unless it is positive and finite (NaN fails)."""
-    if not 0 < value < np.inf:
+    """The value, refused unless it is a positive finite real number (NaN fails)."""
+    if not (_is_finite(name, value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _finite(name: str, value):
+    """The value, refused unless it is a finite real number (NaN fails)."""
+    if not _is_finite(name, value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _is_finite(name: str, value) -> bool:
+    """math.isfinite(value); a value it cannot take (a string, None or a
+    complex number) is refused by name as not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _norm(v: np.ndarray) -> float:
@@ -69,13 +85,6 @@ def _norm(v: np.ndarray) -> float:
 def _clamp(x: float) -> float:
     """x limited to [-1, 1] for arccos, as np.clip(x, -1.0, 1.0) limits it."""
     return min(max(x, -1.0), 1.0)
-
-
-def _finite_angles(**angles) -> None:
-    """Refuse the first angle that is not finite (NaN fails), by name."""
-    for name, value in angles.items():
-        if not -np.inf < value < np.inf:
-            raise ValueError(f"angle {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,8 @@ def su2_state(theta: float, phi: float, kind: str = "skyrmion",
               n0: float = 1.0) -> CoherentState:
     """Two-mode superposition at polar angle theta, azimuth phi of the
     skyrmion sphere (pair 3, 4) or antiskyrmion sphere (pair 3, 5)."""
-    _finite_angles(theta=theta, phi=phi)
+    _finite("angle theta", theta)
+    _finite("angle phi", phi)
     if kind == "skyrmion":
         partner = 3
     elif kind == "antiskyrmion":
@@ -286,7 +296,8 @@ def torus_state(theta_p: float, phi_t: float, n0: float = 1.0) -> CoherentState:
     pi the antiskyrmion pair, pi/2 the horizontal dipole and 3 pi/2 the
     vertical dipole.  Angles are wrapped, so any finite input is valid.
     """
-    _finite_angles(theta_p=theta_p, phi_t=phi_t)
+    _finite("angle theta_p", theta_p)
+    _finite("angle phi_t", phi_t)
     a = np.zeros(6, dtype=complex)
     a[2] = 1 / R2
     pair = np.exp(1j * phi_t) / R2

@@ -149,19 +149,28 @@ def test_state_file_with_nan_amplitude_exits_2(tmp_path, capsys):
     assert f"{path}: amplitude 2 is not finite: (nan+0j)" in err
 
 
-@pytest.mark.parametrize("text,key", [
-    ('{"alpha": 5}', "'alpha'"),
-    ('{"alpha": [[1, 0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}', "'alpha'"),
-    ('{"alpha": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "n0": [2]}',
-     "'n0'"),
+@pytest.mark.parametrize("content,message", [
+    (b'{"alpha": 5}', "'alpha' must "),
+    (b'{"alpha": [[1, 0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}', "'alpha' must "),
+    (b'{"alpha": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "n0": [2]}',
+     "'n0' must "),
+    (b'{"alpha": [1, 2', "Expecting ',' delimiter: line 1 column 16 (char 15)\n"),
+    (b'\xff{"alpha": []}', "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"alpha": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]], "n0": 1'
+     + b"0" * 400 + b"}", "int too large to convert to float"),
 ])
-def test_state_file_of_the_wrong_shape_exits_2(tmp_path, capsys, text, key):
+@pytest.mark.parametrize("via_bench", [False, True])
+def test_state_file_of_the_wrong_shape_exits_2(tmp_path, capsys, content, message,
+                                               via_bench):
     path = tmp_path / "bad.json"
-    path.write_text(text)
-    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    path.write_bytes(content)
+    argv = (["bench", "run", "--bench", _fig1_with_input(tmp_path, path)] if via_bench
+            else ["state", "eval", "--state", str(path)])
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {path}: {key} must ")
+    assert err.startswith(f"error: {path}: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_extent_is_usage_error(tmp_path, capsys):
@@ -206,13 +215,19 @@ def test_bench_run_flipped_vortex_gives_antiskyrmion(tmp_path, capsys):
     assert last_json(out)["classification"].startswith("antiskyrmion")
 
 
-def test_bench_run_malformed_file_exits_2_with_location(tmp_path, capsys):
+@pytest.mark.parametrize("content,location", [
+    (b'bench "x"\ninput state=h_gaussian\npre: HWP angle=\n', ":3"),
+    (b'bench "\xff"\ninput state=h_gaussian\n',
+     ": 'utf-8' codec can't decode byte 0xff in position 7"),
+])
+def test_bench_run_malformed_file_exits_2_with_location(tmp_path, capsys, content,
+                                                        location):
     bad = tmp_path / "bad.bench"
-    bad.write_text('bench "x"\ninput state=h_gaussian\npre: HWP angle=\n')
+    bad.write_bytes(content)
     code, _, err = run_cli(capsys, "bench", "run", "--bench", str(bad),
                            "--out", str(tmp_path))
     assert code == 2
-    assert f"{bad}:3" in err
+    assert f"{bad}{location}" in err
 
 
 def test_bench_run_non_finite_angle_exits_2_with_location(tmp_path, capsys):
@@ -405,9 +420,20 @@ def test_a_run_out_of_memory_exits_2_with_an_error_line(monkeypatch, capsys,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_bad_flag_value_is_usage_error(capsys):
-    assert main(["field", "render", "--state", "neel_out", "--grid", "1"]) == 2
-    assert main(["field", "render", "--state", "neel_out", "--waist", "-2"]) == 2
+@pytest.mark.parametrize("flag,value,message", [
+    ("--grid", "1", "grid size must be an integer >= 16, got '1'"),
+    ("--waist", "-2", "must be positive and finite, got '-2'"),
+    ("--grid", "abc", "grid size must be an integer >= 16, got 'abc'"),
+    ("--grid", "1e3", "grid size must be an integer >= 16, got '1e3'"),
+    ("--extent", "abc", "must be positive and finite, got 'abc'"),
+    ("--tolerance", "x", "must be positive and finite, got 'x'"),
+])
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value, message):
+    code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",
+                           flag, value, "--out", str(tmp_path))
+    assert code == 2
+    assert f"argument {flag}: {message}\n" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +459,7 @@ def test_out_given_with_equals_is_left_out_of_the_sidecar(tmp_path, capsys):
 @pytest.mark.parametrize("bins,message", [
     ("32", "bins must be THETA,PHI, e.g. 32,64"),
     ("0,4", "bin counts must be positive"),
+    ("a,b", "bin counts must be positive integers, got 'a'"),
 ])
 def test_bad_bubble_bins_are_usage_errors(tmp_path, capsys, bins, message):
     code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",

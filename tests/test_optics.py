@@ -242,6 +242,27 @@ def test_bench_types_refuse_values_of_the_wrong_type(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: elem("HWP", angle="1"), "element angle must be a real number, got '1'"),
+    (lambda: elem("HWP", angle=None), "element angle must be a real number, got None"),
+    (lambda: op.SweepSpec("H", "0", 10.0, 5.0), "sweep from must be a real number, got '0'"),
+    (lambda: op.SweepSpec("H", 0.0, 10.0, None),
+     "sweep step must be a real number, got None"),
+    (lambda: op.SweepSpec(5, 0.0, 10.0, 5.0), "sweep element id must be a string, got 5"),
+    (lambda: st.su2_state("1", 0.0), "angle theta must be a real number, got '1'"),
+    (lambda: st.torus_state(0.0, 1j), "angle phi_t must be a real number, got 1j"),
+    (lambda: st.CoherentState([1, 0, 0, 0, 0, 0], n0="2"),
+     "n0 must be a real number, got '2'"),
+    (lambda: st.positive_finite("x", "2"), "x must be a real number, got '2'"),
+])
+def test_values_of_the_wrong_type_are_refused_by_name(build, message):
+    # unrefused, these raised TypeError from math.isfinite or a comparison,
+    # naming neither the field nor the value, and SweepSpec took the int id
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("sections", [
     {"pre": ("H", "H")},
     {"pre": ("H",), "arm_b": ("H",)},
@@ -526,6 +547,7 @@ MALFORMED = [
     (_HEAD + "input state=y", "duplicate input statement", 3),
     ('bench "a"\ninput state=', "input statement must be 'input state=<token>'", 2),
     ('bench "a"\ninput neel_out', "input statement must be 'input state=<token>'", 2),
+    ('bench "a"\ninput state="x;y"', "input statement must be 'input state=<token>'", 2),
     (_HEAD + "arm C: HWP angle=1",
      "arm statement must be 'arm A: ...' or 'arm B: ...'", 3),
     (_HEAD + "arm A HWP angle=1",
