@@ -60,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -91,6 +92,10 @@ def _row_strips(size):
     return (slice(i, i + _STRIP) for i in range(0, size, _STRIP))
 
 
+def _integers(*values) -> bool:
+    return all(isinstance(v, Integral) and not isinstance(v, bool) for v in values)
+
+
 @dataclass(frozen=True)
 class TransverseGrid:
     """Square pixel-center grid, x and y in [-extent, extent]."""
@@ -99,7 +104,7 @@ class TransverseGrid:
     extent: float = 3.0
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < MIN_GRID:
+        if not _integers(self.size) or self.size < MIN_GRID:
             raise ValueError(f"size must be an integer >= {MIN_GRID}, got {self.size}")
         positive_finite("extent", self.extent)
         # in Python floats, so numpy does not warn: a pixel area that over- or
@@ -550,6 +555,14 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     )
 
 
+def _disk_radius(grid: TransverseGrid, radius: float | None) -> float:
+    """The disk radius (default: the extent), positive, finite and within the grid."""
+    r = positive_finite("disk radius", float(grid.extent if radius is None else radius))
+    if r > grid.extent + 1e-12:
+        raise ValueError(f"disk radius {r} exceeds the grid extent {grid.extent}")
+    return r
+
+
 def topological_charge(
     sf: StokesField, disk_radius: float | None = None
 ) -> TopologicalCharge:
@@ -559,12 +572,10 @@ def topological_charge(
     The pass runs once per field and disk radius; the report is kept on
     the field.  A refused charge raises ValueError on every call.
     """
-    r = positive_finite(
-        "disk radius", float(sf.grid.extent if disk_radius is None else disk_radius))
-    report = sf._charges.get(r)
-    if report is None:
-        report = sf._charges[r] = _closed_texture(sf, r)
-    return report
+    r = _disk_radius(sf.grid, disk_radius)
+    if r not in sf._charges:
+        sf._charges[r] = _closed_texture(sf, r)
+    return sf._charges[r]
 
 
 def skyrmion_number(sf: StokesField, disk_radius: float | None = None) -> float:
@@ -635,12 +646,9 @@ def soup_bubble(
     it; bins no pixel reached have a zero vector and count 0.
     """
     grid = sf.grid
-    disk_radius = positive_finite(
-        "disk radius", float(grid.extent if disk_radius is None else disk_radius))
-    if disk_radius > grid.extent + 1e-12:
-        raise ValueError(
-            f"disk radius {disk_radius} exceeds the grid extent {grid.extent}"
-        )
+    disk_radius = _disk_radius(grid, disk_radius)
+    if not (isinstance(bins, (tuple, list)) and len(bins) == 2 and _integers(*bins)):
+        raise ValueError(f"bins must be a pair of integers, got {bins}")
     n_theta, n_phi = bins
     if n_theta < 1 or n_phi < 1:
         raise ValueError(f"bins must be positive, got {bins}")

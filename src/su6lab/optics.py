@@ -177,10 +177,10 @@ class SweepSpec:
     record: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # None is left to BenchDescription, which names it as an unknown id
-        if not isinstance(self.element_id, (str, type(None))):
-            raise ValueError("sweep element id must be a string, got "
-                             f"{self.element_id!r}")
+        eid = self.element_id
+        if not isinstance(eid, str):
+            raise ValueError("sweep references unknown element id None" if eid is None
+                             else f"sweep element id must be a string, got {eid!r}")
         bounds = (self.start, self.stop, self.step)
         if not all(_is_finite(f"sweep {key}", value)
                    for key, value in zip(("from", "to", "step"), bounds)):
@@ -231,7 +231,7 @@ def _check_new_id(seen: set[str], element: OpticalElement) -> None:
 def _check_sweep_target(elements, eid: str) -> None:
     """Refuse a sweep over an id no element has, or over a kind with no angle."""
     kind = next((e.kind for e in elements if e.element_id == eid), None)
-    if kind is None or eid is None:  # an element without an id has none to name
+    if kind is None:
         raise ValueError(f"sweep references unknown element id {eid!r}")
     if "angle" not in _KINDS[kind].attrs:
         raise ValueError(f"sweep element {eid!r} is a {kind}, which has no angle")

@@ -54,11 +54,26 @@ def test_radius_and_azimuth_are_the_meshgrid_formulas_bit_for_bit(size, extent):
     assert phi.tobytes() == np.arctan2(yy, xx).tobytes()
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError, match="size"):
-        fd.TransverseGrid(size=8, extent=3.0)
-    with pytest.raises(ValueError, match="extent"):
-        fd.TransverseGrid(size=64, extent=0.0)
+@pytest.mark.parametrize("size,extent,message", [
+    (8, 3.0, "size must be an integer >= 16, got 8"),
+    (64.0, 3.0, "size must be an integer >= 16, got 64.0"),
+    ("64", 3.0, "size must be an integer >= 16, got 64"),
+    (True, 3.0, "size must be an integer >= 16, got True"),
+    (None, 3.0, "size must be an integer >= 16, got None"),
+    (64, 0.0, "extent must be positive and finite, got 0.0"),
+])
+def test_grid_validation(size, extent, message):
+    # refused when built, before numpy sees a size it cannot index with
+    with pytest.raises(ValueError) as err:
+        fd.TransverseGrid(size=size, extent=extent)
+    assert str(err.value) == message
+
+
+def test_numpy_integer_sizes_are_integers():
+    g = fd.TransverseGrid(size=np.int64(32), extent=3.0)
+    assert g == fd.TransverseGrid(size=32, extent=3.0)
+    tm = fd.soup_bubble(stokes_for("neel_out", grid=g), bins=(np.int64(8), np.int64(16)))
+    assert tm.counts.shape == (8, 16)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -972,17 +987,34 @@ def test_disk_geometry_is_built_once_per_grid_and_radius_and_read_only():
             arr[0] = 0
 
 
-def test_bubble_map_rejects_disk_beyond_grid():
-    sf = stokes_for("neel_out")
-    with pytest.raises(ValueError, match="extent"):
-        fd.soup_bubble(sf, disk_radius=3.5)
+@pytest.mark.parametrize("radius", [3.5, 1e300])
+@pytest.mark.parametrize("call", [fd.soup_bubble, fd.topological_charge,
+                                  fd.skyrmion_number, fd.skyrmion_number_solid_angle])
+def test_every_disk_call_rejects_disk_beyond_grid(call, radius, passes):
+    # the grid cuts such a disk, so a charge over it would be that of the
+    # whole square under the disk's name
+    sf = stokes_for("neel_out", grid=fd.TransverseGrid(size=64, extent=3.0))
+    for _ in range(2):  # a refusal is not kept
+        with pytest.raises(ValueError) as err:
+            call(sf, radius)
+        assert str(err.value) == f"disk radius {radius} exceeds the grid extent 3.0"
+    assert passes == []
+    assert sf._charges == {}
 
 
-def test_bubble_map_refuses_empty_bins():
+@pytest.mark.parametrize("bins,message", [
+    ((0, 4), "bins must be positive, got (0, 4)"),
+    ((8.0, 16), "bins must be a pair of integers, got (8.0, 16)"),
+    (("8", 16), "bins must be a pair of integers, got ('8', 16)"),
+    ((True, 16), "bins must be a pair of integers, got (True, 16)"),
+    ((8, 16, 3), "bins must be a pair of integers, got (8, 16, 3)"),
+    (8, "bins must be a pair of integers, got 8"),
+])
+def test_bubble_map_refuses_bins_that_are_not_a_positive_pair(bins, message):
     sf = stokes_for("neel_out", grid=fd.TransverseGrid(size=32, extent=3.0))
     with pytest.raises(ValueError) as err:
-        fd.soup_bubble(sf, bins=(0, 4))
-    assert str(err.value) == "bins must be positive, got (0, 4)"
+        fd.soup_bubble(sf, bins=bins)
+    assert str(err.value) == message
 
 
 def test_stokes_fields_refuse_a_field_of_another_grid():

@@ -331,6 +331,7 @@ def _swept(over, **sections):
      "sweep references unknown element id 'VL1'"),
     (lambda: _swept(None, pre=(elem("HWP"), elem("HWP"))),
      "sweep references unknown element id None"),
+    (lambda: op.SweepSpec(None, 0.0, 10.0, 5.0), "sweep references unknown element id None"),
     (lambda: _swept("VL1", arm_b=(elem("VORTEX_LENS", element_id="VL1"),)),
      "sweep element 'VL1' is a VORTEX_LENS, which has no angle"),
 ])
