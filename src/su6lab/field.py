@@ -555,9 +555,18 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     )
 
 
+def _radius(value) -> float:
+    """A disk radius as a float, refused unless the value given is a
+    positive finite real number; a bool is not one, though math.isfinite
+    takes it."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"disk radius must be a real number, got {value!r}")
+    return float(positive_finite("disk radius", value))
+
+
 def _disk_radius(grid: TransverseGrid, radius: float | None) -> float:
     """The disk radius (default: the extent), positive, finite and within the grid."""
-    r = positive_finite("disk radius", float(grid.extent if radius is None else radius))
+    r = float(grid.extent) if radius is None else _radius(radius)
     if r > grid.extent + 1e-12:
         raise ValueError(f"disk radius {r} exceeds the grid extent {grid.extent}")
     return r
@@ -595,7 +604,7 @@ def skyrmion_number_solid_angle(
 
 def radial_to_polar(r, disk_radius: float, profile: str = "linear"):
     """Map disk radius to sphere polar angle; 'linear' or 'area'."""
-    x = np.asarray(r, dtype=float) / positive_finite("disk radius", float(disk_radius))
+    x = np.asarray(r, dtype=float) / _radius(disk_radius)
     x = np.clip(x, 0.0, 1.0)
     if profile == "linear":
         theta = np.pi * x

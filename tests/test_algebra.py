@@ -7,6 +7,8 @@ arithmetic done locally in each test.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,143 @@ def test_adjoint_guard_refuses_exactly_when_a_verify_row_fails(exponent, sign,
         assert refused
     else:
         assert not refused
+
+
+def _einsum_closure(g):
+    """The closure as it was measured before the sparse sums: one dense
+    einsum per l for each of the three contractions, lhs * rhs and
+    rhs * rhs held whole.  The reference the sparse sums must match."""
+    k = len(g)
+    G = -g
+    lr, rr = np.empty((k, k, k, k)), np.empty((k, k, k, k))
+    unit = np.empty(k)
+    for l in range(k):
+        lhs = (np.einsum("ab,mbc->mac", G[l], G)
+               - np.einsum("mab,bc->mac", G, G[l]))
+        rhs = np.einsum("mn,nac->mac", g[l], G)
+        np.multiply(lhs, rhs, out=lr[l])
+        np.multiply(rhs, rhs, out=rr[l])
+        unit[l] = np.max(np.abs(lhs - rhs))
+    denom = float(np.sum(rr))
+    c = float(np.sum(lr) / denom) if denom > 0 else float("nan")
+    return c, [("adjoint_closure_constant", abs(c - 1.0), alg.CLOSURE_TOL),
+               ("adjoint_closure", float(np.max(unit)), alg.CLOSURE_TOL)]
+
+
+def _bits(closure):
+    """c and the two residuals as float.hex, so equal means bit for bit."""
+    c, rows = closure
+    return [float(c).hex()] + [float(resid).hex() for _, resid, _ in rows]
+
+
+def _assert_closure_matches_einsum(g):
+    with np.errstate(all="ignore"):
+        want = _bits(_einsum_closure(g))
+        got = _bits(alg._adjoint_closure(g))
+    assert got == want
+
+
+def test_sparse_closure_matches_einsum_on_the_shipped_g():
+    g = alg.structure_constants()
+    _assert_closure_matches_einsum(g)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(exponent=hs.floats(-14.0, -3.0), sign=hs.sampled_from([-1.0, 1.0]),
+       index=hs.tuples(*[hs.integers(0, 34)] * 3))
+def test_sparse_closure_matches_einsum_on_one_perturbed_entry(exponent, sign,
+                                                              index):
+    g = alg.structure_constants().copy()
+    g[index] += sign * 10.0 ** exponent
+    _assert_closure_matches_einsum(g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_closure_matches_einsum_under_relative_noise(seed):
+    g = alg.structure_constants()
+    rng = np.random.default_rng(seed)
+    _assert_closure_matches_einsum(g * (1.0 + 1e-9 * rng.standard_normal(g.shape)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_closure_matches_einsum_on_random_sparse_tensors(seed):
+    rng = np.random.default_rng(seed)
+    g = np.where(rng.random((35, 35, 35)) < 0.04,
+                 rng.standard_normal((35, 35, 35)), 0.0)
+    _assert_closure_matches_einsum(g)
+
+
+def test_sparse_closure_matches_einsum_in_many_passes(monkeypatch):
+    # passes of about 1000 products: the sums run on across passes
+    monkeypatch.setattr(alg, "_PASS", 1000)
+    g = alg.structure_constants()
+    _assert_closure_matches_einsum(g)
+    rng = np.random.default_rng(3)
+    _assert_closure_matches_einsum(
+        np.where(rng.random(g.shape) < 0.04, rng.standard_normal(g.shape), 0.0))
+
+
+def test_sparse_closure_on_zero_and_non_finite_tensors():
+    shipped = alg.structure_constants()
+    nonzero_slot, zero_slot = (0, 1, 2), (0, 0, 0)
+    assert shipped[nonzero_slot] != 0 and shipped[zero_slot] == 0
+    cases = [(np.zeros((35, 35, 35)), (np.nan, 0.0)),
+             (np.full((35, 35, 35), np.nan), (np.nan, np.nan))]
+    for value in (np.inf, -np.inf, np.nan):
+        for slot in (nonzero_slot, zero_slot):
+            g = shipped.copy()
+            g[slot] = value
+            cases.append((g, (np.nan, np.nan)))
+    g = shipped.copy()
+    g[nonzero_slot] = 1e300
+    cases.append((g, (np.nan, 5.773502691896261e+299)))
+    for g, rows in cases:
+        _assert_closure_matches_einsum(g)
+        with np.errstate(all="ignore"):
+            got = [resid for _, resid, _ in alg._adjoint_closure(g)[1]]
+        np.testing.assert_array_equal(got, rows)
+
+
+def test_zero_times_inf_makes_both_rows_nan():
+    # the inf meets only zeros, so no product of nonzero factors carries
+    # it: the dense sums still hold 0 * inf = nan, and so must the rows
+    g = np.zeros((2, 2, 2))
+    g[1, 0, 1] = np.inf
+    assert alg._nan_term(g)
+    _assert_closure_matches_einsum(g)
+    assert all(np.isnan(resid) for _, resid, _ in alg._adjoint_closure(g)[1])
+    # an inf among nonzero entries only: no nan term, the inf propagates
+    g = np.full((2, 2, 2), 0.5)
+    g[1, 0, 1] = np.inf
+    assert not alg._nan_term(g)
+    _assert_closure_matches_einsum(g)
+
+
+_ENTRIES = hs.one_of(hs.just(0.0), hs.just(0.0), hs.just(0.0),
+                     hs.sampled_from([1.0, -0.5, np.inf, -np.inf, np.nan, 1e300]),
+                     hs.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=hs.data(), k=hs.integers(1, 5))
+def test_sparse_closure_matches_einsum_on_small_tensors(data, k):
+    # every mix of zeros, infinities, nans and overflow on a few generators,
+    # dense tensors without zeros included
+    g = np.array(data.draw(hs.lists(_ENTRIES, min_size=k ** 3, max_size=k ** 3)))
+    _assert_closure_matches_einsum(g.reshape(k, k, k))
+
+
+def test_sparse_closure_holds_at_most_two_35_4_arrays_whole():
+    # the einsum closure held lhs * rhs and rhs * rhs whole; the sparse
+    # sums add at most 2 MiB to that (they hold one such array)
+    g = alg.structure_constants()
+    tracemalloc.start()
+    try:
+        alg._adjoint_closure(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 35 ** 4 * 8 + 2 * 2 ** 20
 
 
 def test_pair_triples_close_like_pauli_matrices():

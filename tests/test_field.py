@@ -1128,6 +1128,22 @@ def test_disk_radius_must_be_positive_and_finite(radius, passes):
     assert sf._charges == {}
 
 
+@pytest.mark.parametrize("radius", ["2.5", True, "x", [1.0]])
+def test_disk_radius_must_be_a_real_number(radius, passes):
+    # the raw value is judged: a numeric string or a bool is not a radius,
+    # and every refusal names the disk radius
+    sf = stokes_for("neel_out", fd.TransverseGrid(size=32, extent=3.0))
+    message = re.escape(f"disk radius must be a real number, got {radius!r}")
+    for call in (lambda: fd.soup_bubble(sf, disk_radius=radius),
+                 lambda: fd.radial_to_polar(0.0, radius),
+                 lambda: fd.topological_charge(sf, radius),
+                 lambda: fd.skyrmion_number(sf, radius)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert passes == []
+    assert sf._charges == {}
+
+
 def test_disk_missing_every_pixel_keeps_its_message(passes):
     sf = stokes_for("neel_out", fd.TransverseGrid(size=64, extent=3.0))
     for _ in range(2):

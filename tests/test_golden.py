@@ -6,7 +6,8 @@ recorded once, so any change to an emitted byte between commits fails
 here, as the rule that outputs stay byte-identical requires.  They were
 recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another
 numpy build may move the last bits of the einsum and field arithmetic
-and so the digests.
+and so the digests.  The adjoint closure sums only the nonzero products
+but reproduces einsum's summation order, so it moves with einsum.
 """
 import hashlib
 import json
