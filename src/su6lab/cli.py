@@ -190,12 +190,28 @@ def _write_file(args, files: list, name: str, payload: str | bytes,
     files.append(name)
 
 
-def _sphere_obj(point) -> dict:
-    return {
-        "coords": [float(c) for c in point.coords],
-        "theta": point.theta,
-        "phi": point.phi,
-    }
+def _spheres(state: st.CoherentState, *kinds: str) -> dict:
+    """The points of ``state`` on the named spheres, keyed by kind in the
+    order given."""
+    obj = {}
+    for kind in kinds:
+        point = getattr(st, f"{kind}_sphere")(state)
+        obj[kind] = {"coords": [float(c) for c in point.coords],
+                     "theta": point.theta, "phi": point.phi}
+    return obj
+
+
+def _write_stokes(args, files: list, state, name: str, /, **extra):
+    """Render ``state`` on the grid the flags set, write its Stokes CSV as
+    ``name`` and return the StokesField; ``extra`` goes into the sidecar
+    ahead of the columns."""
+    from . import field
+
+    grid = field.TransverseGrid(size=args.grid, extent=args.extent)
+    sf = field.stokes_fields(*field.synthesize(state, grid, waist=args.waist), grid)
+    _write_file(args, files, name, serialize.field_csv(sf), **extra,
+                columns=list(serialize.FIELD_COLUMNS))
+    return sf
 
 
 # ----------------------------------------------------------------- algebra
@@ -274,12 +290,8 @@ def cmd_state_eval(args) -> int:
         "hypersphere_norm": float(np.linalg.norm(vec)),
     }
     if args.spheres:
-        obj["spheres"] = {
-            "skyrmion": _sphere_obj(st.skyrmion_sphere(state)),
-            "antiskyrmion": _sphere_obj(st.antiskyrmion_sphere(state)),
-            "oam": _sphere_obj(st.oam_sphere(state)),
-            "polarization": _sphere_obj(st.polarization_sphere(state)),
-        }
+        obj["spheres"] = _spheres(state, "skyrmion", "antiskyrmion", "oam",
+                                  "polarization")
     if args.torus:
         try:
             torus = st.state_to_torus(state, tol=args.tolerance or 1e-8)
@@ -323,10 +335,7 @@ def cmd_bench_run(args) -> int:
         "bench": bench.name,
         "camera_state": serialize.state_to_obj(out_state),
         "classification": label,
-        "spheres": {
-            "skyrmion": _sphere_obj(st.skyrmion_sphere(out_state)),
-            "antiskyrmion": _sphere_obj(st.antiskyrmion_sphere(out_state)),
-        },
+        "spheres": _spheres(out_state, "skyrmion", "antiskyrmion"),
     }
     obj["files"] = []
     _write_file(args, obj["files"], "camera_state.json",
@@ -359,18 +368,10 @@ def cmd_bench_sweep(args) -> int:
     )
 
     if args.fields:
-        from . import field
-
-        grid = field.TransverseGrid(size=args.grid, extent=args.extent)
         for k, frame in enumerate(result.frames):
-            e_left, e_right = field.synthesize(frame, grid, waist=args.waist)
-            sf = field.stokes_fields(e_left, e_right, grid)
-            _write_file(
-                args, files, f"stokes_{k:03d}.csv", serialize.field_csv(sf),
-                bench=bench.name, frame=k,
-                parameter=float(result.parameters[k]),
-                columns=list(serialize.FIELD_COLUMNS),
-            )
+            _write_stokes(args, files, frame, f"stokes_{k:03d}.csv",
+                          bench=bench.name, frame=k,
+                          parameter=float(result.parameters[k]))
 
     _emit({
         "command": "bench sweep",
@@ -390,13 +391,9 @@ def cmd_bench_sweep(args) -> int:
 def cmd_field_render(args) -> int:
     from . import field
 
-    state = _resolve_state(args.state)
-    grid = field.TransverseGrid(size=args.grid, extent=args.extent)
-    e_left, e_right = field.synthesize(state, grid, waist=args.waist)
-    sf = field.stokes_fields(e_left, e_right, grid)
     files = []
-    _write_file(args, files, "stokes.csv", serialize.field_csv(sf),
-                state=args.state, columns=list(serialize.FIELD_COLUMNS))
+    sf = _write_stokes(args, files, _resolve_state(args.state), "stokes.csv",
+                       state=args.state)
 
     for name, channel in (("s0", sf.s0), ("s1", sf.s1),
                           ("s2", sf.s2), ("s3", sf.s3)):
@@ -412,7 +409,7 @@ def cmd_field_render(args) -> int:
     obj = {
         "command": "field render",
         "state": args.state,
-        "grid": {"size": grid.size, "extent": grid.extent, "waist": args.waist},
+        "grid": {"size": args.grid, "extent": args.extent, "waist": args.waist},
     }
 
     if args.bubble is not None:

@@ -9,11 +9,10 @@ the unit spin texture n = (S1, S2, S3)/S0, defined where S0 exceeds
 
 What does not depend on the state is built once and kept read-only, one
 entry each (sizes at grid 1024): the three modes per grid and waist
-(48 MB), the integration disk with its pixel count and its two-pixel
-reach per grid and disk radius (2 MB), and the bubble bin of every disk
-pixel with the pixel count of every bin per grid, radius, bins and
-profile (6.3 MB for a disk of the grid's extent).  The grid keeps its
-radius and azimuth (16 MB).
+(48 MB), the integration disk with its pixel count per grid and disk
+radius (1 MB), and the bubble bin of every disk pixel with the pixel
+count of every bin per grid, radius, bins and profile (6.3 MB for a disk
+of the grid's extent).  The grid keeps its radius and azimuth (16 MB).
 
 The topological charge is computed two independent ways:
 
@@ -405,39 +404,32 @@ _STEPS = ((-2, 0), (-1, 0), (1, 0), (2, 0), (0, -2), (0, -1), (0, 1), (0, 2))
 
 
 @lru_cache(maxsize=1)
-def _disk(grid: TransverseGrid, radius: float) -> tuple[np.ndarray, int, np.ndarray]:
-    # the integration disk (pixel centers within the radius), its pixel
-    # count, and its reach: the pixels a charge stencil on the disk reads.
-    # Read-only and built once per grid and radius
+def _disk(grid: TransverseGrid, radius: float) -> tuple[np.ndarray, int]:
+    # the integration disk (pixel centers within the radius) and its pixel
+    # count, read-only and built once per grid and radius
     disk = grid.rr <= radius
-    padded, n = np.pad(disk, 2), grid.size
-    reach = disk.copy()
-    for r, c in _STEPS:
-        reach |= padded[r + 2:r + 2 + n, c + 2:c + 2 + n]
     disk.setflags(write=False)
-    reach.setflags(write=False)
-    return disk, int(np.count_nonzero(disk)), reach
+    return disk, int(np.count_nonzero(disk))
 
 
-def _continue_past_cutoff(sf: StokesField, mask: np.ndarray, reach: np.ndarray):
+def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     # derivatives need a smooth field; dark pixels inherit the spin of
     # the nearest defined pixel instead of an arbitrary constant.  The
     # charge reads rho only on mask pixels, and their stencils reach two
-    # pixels along the row and the column, so only the dark pixels in that
-    # reach are filled, each from a mask pixel at most two away.  `reach`
-    # holds every pixel within two steps of a mask pixel (the disk's reach
-    # does); a dark pixel of it is kept when a mask pixel is in its own reach
+    # pixels along the row and the column, so only the dark pixels that
+    # one dilation of the mask by those steps covers are filled, each from
+    # a mask pixel at most two away
     spins = np.moveaxis(sf.n, -1, 0)
     if sf.mask.all():
         return spins
+    padded, n = np.pad(mask, 2), mask.shape[0]
+    near = np.zeros_like(mask)
+    for r, c in _STEPS:
+        near |= padded[r + 2:r + 2 + n, c + 2:c + 2 + n]
+    near &= ~sf.mask
     # flatnonzero and divmod give np.nonzero's pixels in its order, without
     # its 2-D index walk (3 ms at grid 1024 even when nothing is found)
-    rows, cols = np.divmod(np.flatnonzero(reach & ~sf.mask), sf.mask.shape[1])
-    padded = np.pad(mask, 2)
-    near = np.zeros(rows.size, dtype=bool)
-    for r, c in _STEPS:
-        near |= padded[rows + r + 2, cols + c + 2]
-    rows, cols = rows[near], cols[near]
+    rows, cols = np.divmod(np.flatnonzero(near), n)
     if not rows.size:
         return spins
     continued = spins.copy()
@@ -470,7 +462,7 @@ class _ClosedTexture:
 
 def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     grid = sf.grid
-    disk, n_disk, reach = _disk(grid, disk_radius)
+    disk, n_disk = _disk(grid, disk_radius)
     if not n_disk:
         raise ValueError("integration disk contains no grid pixels")
     mask = disk & sf.mask
@@ -526,7 +518,7 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
 
     # gradients come from the texture itself wherever the intensity
     # defines it, so no stencil straddles the saturation step
-    smooth = _continue_past_cutoff(sf, mask, reach)
+    smooth = _continue_past_cutoff(sf, mask)
     h = grid.spacing
     # the plaquettes below read rho on mask pixels only
     rho = _by_strips(lambda w: _charge_density(w, h),
@@ -623,7 +615,7 @@ def _bubble_bins(grid: TransverseGrid, disk_radius: float, n_theta: int, n_phi: 
     # the bubble bin of every disk pixel in C order, built one strip of rows
     # at a time, and the pixel count of every bin; read-only and built once
     # per grid, radius, bins and profile
-    disk, n_disk, _ = _disk(grid, disk_radius)
+    disk, n_disk = _disk(grid, disk_radius)
     flat = np.empty(n_disk, dtype=np.intp)
     start = 0
     for rows in _row_strips(grid.size):

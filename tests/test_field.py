@@ -534,7 +534,7 @@ def edt_calls(monkeypatch):
     return calls
 
 
-def _always_continued(sf, mask, reach=None):
+def _always_continued(sf, mask):
     from scipy import ndimage
 
     rows, cols = ndimage.distance_transform_edt(
@@ -572,7 +572,7 @@ def test_continuation_picks_the_edt_pixel_for_every_dark_pixel_in_reach(case):
     plus = np.zeros((5, 5), dtype=bool)
     plus[2] = plus[:, 2] = True
     targets = ndimage.binary_dilation(mask, structure=plus) & ~sf.mask
-    continued = fd._continue_past_cutoff(sf, mask, np.ones_like(mask))
+    continued = fd._continue_past_cutoff(sf, mask)
     spins = np.moveaxis(sf.n, -1, 0)
     assert np.array_equal(continued[:, ~targets], spins[:, ~targets])
     if targets.any():
@@ -976,12 +976,11 @@ def test_disk_geometry_is_built_once_per_grid_and_radius_and_read_only():
         fd.soup_bubble(stokes_for(name, grid=fd.TransverseGrid(64, 3.0)), 2.0, (8, 16))
     assert fd._disk.cache_info().misses == 1
     assert fd._bubble_bins.cache_info().misses == 1
-    disk, count, reach = fd._disk(g, 2.0)
+    disk, count = fd._disk(g, 2.0)
     bins, counts = fd._bubble_bins(g, 2.0, 8, 16, "linear")
     assert count == np.count_nonzero(disk) == bins.size == counts.sum()
     assert bins.dtype == np.intp
-    assert np.array_equal(disk & reach, disk)
-    for arr in (disk, reach, bins, counts):
+    for arr in (disk, bins, counts):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

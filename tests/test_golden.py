@@ -145,6 +145,27 @@ GOLDEN = {
 }
 
 
+# not a criterion-10 recipe: at extent 4.2 the disk holds a dark ring, so
+# the charge pass continues the texture past the intensity cutoff
+EXTENT_RECIPE = ["field", "render", "--state", "neel_out", "--grid", "64",
+                 "--extent", "4.2", "--skyrmion-number", "--bubble", "8,16"]
+EXTENT_GOLDEN = {
+    "<stdout>": "27cadb8c4d52ceef1862e45e51b223f165880deab1fdc177a0ffae50d0364601",
+    "bubble.csv": "49a29d277325f63c05684bf7558be47727e3a1b1ce1bf39baf80f946ec787aa0",
+    "bubble.csv.json": "ce87c18472bd7481eed02b24ed2c60b23c6d95f7703c00b2a3253122c20403cd",
+    "s0.pgm": "e5659d9f6f5951ceb12c0ff1500f13ee8196d952759794853e1f9ff2015085b8",
+    "s0.pgm.json": "ada015b06ee6dc6969fbdf823533da4fd931f54d75f09de343b2949d5a492fb1",
+    "s1.pgm": "d5fc1d1515b7a82d537a36366331841dddffe1f9dbaa39962e44b1f7feb3c065",
+    "s1.pgm.json": "45cb992fa7d8095ce880bcbe21e2282fb79e65e6b1e0837e6e7dcb90d51e5e93",
+    "s2.pgm": "30730289dab16aa23f97ddb7221e4178a5e9964f443b0eaf65a7df2f2b8bdaa6",
+    "s2.pgm.json": "aec4cda6ec04a642d4d47d017d9cdbca2c25146c5ed5a24da85f5d913e2e1e02",
+    "s3.pgm": "4b42afeb5f9e88c835784ba5c00096ab0b7afab9f6bdcdb9101dbef09d9c49f2",
+    "s3.pgm.json": "25d2e7b0b42276a25e800502bdbb0ca841b6dc3dc0cdf8319e4b9347bb05b2d6",
+    "stokes.csv": "76c0552b2f31f742b68362a280d6001bdc969e77301a8667f715568d6ce4362e",
+    "stokes.csv.json": "8112c9529eefa6fdf3f4dad21b1ffab2e3a3a1e3874b73cde77c57d592224f61",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -160,6 +181,14 @@ def test_recipe_outputs_match_golden_digests(recipe, tmp_path, capsys):
     for path in sorted(tmp_path.iterdir()):
         got[path.name] = _sha256(path.read_bytes())
     assert got == GOLDEN[" ".join(recipe)]
+
+
+def test_continued_texture_render_matches_golden_digests(tmp_path, capsys):
+    assert main([*EXTENT_RECIPE, "--out", str(tmp_path)]) == 0
+    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    for path in sorted(tmp_path.iterdir()):
+        got[path.name] = _sha256(path.read_bytes())
+    assert got == EXTENT_GOLDEN
 
 
 def test_recipes_match_golden_digests_with_scipy_blocked(tmp_path):
