@@ -21,9 +21,9 @@ nonzero entries of 35^3, so each side has about 32k products where dense
 einsums form 157M multiply-adds.  Every output adds its products in
 sequence, in increasing contraction index, which is the order einsum sums
 them in; a zero product changes no value, so the sums equal the dense
-ones bit for bit.  The two products that fit c, lhs * rhs and rhs * rhs,
-each go to np.sum as a contiguous 35^4 array, zero where no term lands,
-so np.sum reduces them in the dense pairwise order and c is the same float.
+ones bit for bit.  No 35^4 array is held: lhs * rhs and rhs * rhs, the
+products that fit c, are summed with the pairwise splits np.sum takes over
+a contiguous 35^4 array, so c is the same float.
 """
 from __future__ import annotations
 
@@ -150,66 +150,94 @@ def _structure_tensor(mats: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.max(np.abs(comm - recon)))
 
 
-# pairs per pass of _pairs: bounds the working arrays when g has few zeros
-# (each side of the shipped g, 32k products, is one pass)
+# products per pass of _adjoint_sides, unless one block of outputs has more
 _PASS = 1 << 16
+# positions a pass may span: the length of its position -> slot map
+_WINDOW = 1 << 18
+# entries per block that _dense_sum hands to np.sum whole
+_BLOCK = 1 << 16
 
 
-def _pairs(key_a: np.ndarray, key_b: np.ndarray, k: int):
-    """Yield index arrays (ia, ib) of every pair of entries with
-    key_a[ia] == key_b[ib], in increasing ia within and across the passes,
-    about _PASS pairs a pass.  key_b is sorted, and every key is below k."""
-    first = np.searchsorted(key_b, np.arange(k + 1))
-    count = (first[1:] - first[:-1])[key_a]    # partners of each a entry
-    start = np.cumsum(count) - count
-    for e in np.split(np.arange(len(key_a)), np.flatnonzero(np.diff(start // _PASS)) + 1):
-        ia = np.repeat(e, count[e])
-        ib = np.arange(len(ia)) + np.repeat(
-            first[key_a[e]] - (np.cumsum(count[e]) - count[e]), count[e])
-        yield ia, ib
+def _runs(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs first[j], first[j] + 1, ... of count[j] integers, in turn."""
+    return np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
 
 
-def _adjoint_sides(g: np.ndarray, ids: np.ndarray):
-    """Flat positions (l, m, a, c) where a product of two nonzero factors
-    lands on either side of [G_l, G_m] = sum_n g_lmn G_n, G = -g, and both
-    sides there: lhs = T - T with l and m swapped, T[l, m, a, c] =
-    sum_b G[l, a, b] G[m, b, c], and rhs[l, m, a, c] = sum_n g[l, m, n]
-    G[n, a, c].
+def _adjoint_sides(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat positions (l, m, a, c) where a product of two nonzero
+    factors lands on either side of [G_l, G_m] = sum_n g_lmn G_n, G = -g,
+    and both sides there as rows (lhs, rhs): lhs = T - W, T[l, m, a, c] =
+    sum_b G[l, a, b] G[m, b, c], W[l, m, a, c] = sum_b G[m, a, b]
+    G[l, b, c], and rhs[l, m, a, c] = sum_n g[l, m, n] G[n, a, c].
 
-    Each output adds its products one after another in increasing b or n,
-    starting from 0, as einsum does.  ``ids`` is a zeroed int64 array of
-    k^4 entries; it is left holding 1 + the index of each returned
-    position at that position."""
+    A pass takes whole blocks (l, m) of outputs, about _PASS products and
+    at most _WINDOW positions.  Each product pairs a leading entry, of
+    G[l] (T, W) or of g[l, m] (rhs), with one of a run of partner entries,
+    and each output adds its products one after another in increasing b
+    or n, starting from 0, as einsum does.  The pass's positions are
+    sorted once and mapped to their slots."""
     k = len(g)
     G = -g
-    e0, e1, e2 = np.nonzero(G)                 # in (e0, e1, e2) order
+    e0, e1, e2 = np.nonzero(G != 0)            # in (e0, e1, e2) order
     v = G[e0, e1, e2]
-    s = np.lexsort((e2, e0, e1))               # the same entries in (e1, e0, e2) order
-    per_key = [np.bincount(e, minlength=k) for e in (e0, e1, e2)]
-    # at most one new position per product: T's at two places, rhs's at one
-    size = min(k ** 4, int(per_key[2] @ (2 * per_key[1] + per_key[0])))
-    pos, sums, n = [], np.zeros((3, size)), 0
+    row = np.searchsorted(e0 * k + e1, np.arange(k * k + 1))   # G[x, y]: row[xk + y] onward
+    # the partners of T and W, G[m, b, .] and G[m, ., b], in order by (b, m)
+    by = np.lexsort((e2, e0, e1)), np.lexsort((e1, e0, e2))
+    first = [np.searchsorted(b[o] * k + e0[o], np.arange(k * k + 1)) for b, o in zip((e1, e2), by)]
+    # for T, W and rhs: a product's position from its leading and partner entries, and the factors
+    kinds = [(e0 * k ** 3 + e1 * k, (e0 * k * k + e2)[by[0]], v, v[by[0]]),
+             (e0 * k ** 3 + e2, (e0 * k * k + e1 * k)[by[1]], v, v[by[1]]),
+             (e0 * k ** 3 + e1 * k * k, e1 * k + e2, -v, v)]
+    # products per block (l, m): T's, W's (T's transposed) and rhs's
+    count = np.diff(row)
+    t = np.bincount(e0 * k + e2, minlength=k * k).reshape(k, k) @ count.reshape(k, k).T
+    size = (t + t.T).ravel() + np.bincount(e0 * k + e1, count.reshape(k, k).sum(1)[e2], k * k)
+    span = min(k * k, max(1, _WINDOW // (k * k or 1)))   # blocks per pass at most
+    cut = np.diff((np.cumsum(size) - size) // _PASS) + np.diff(np.arange(k * k) // span)
+    slot = np.empty(span * k * k, np.intp)
+    out = [(np.zeros(0, np.int64), np.zeros((2, 0)))]   # so a g with no blocks concatenates
+    for block in filter(len, np.split(np.arange(k * k), np.flatnonzero(cut) + 1)):
+        (l0, m0), (l1, m1), base = divmod(block[0], k), divmod(block[-1], k), block[0] * k * k
+        i = np.arange(row[l0 * k], row[l1 * k + k])        # the entries of G[l0] to G[l1]
+        lo, hi = np.where(e0[i] == l0, m0, 0), np.where(e0[i] == l1, m1 + 1, k)
+        j = np.arange(row[block[0]], row[block[-1] + 1])   # and of g[l0, m0] to g[l1, m1]
+        runs = [(i, first[0][e2[i] * k + lo], first[0][e2[i] * k + hi]),
+                (i, first[1][e1[i] * k + lo], first[1][e1[i] * k + hi]),
+                (j, row[e2[j] * k], row[e2[j] * k + k])]
+        pairs = [(np.repeat(d, end - f), _runs(f, end - f)) for d, f, end in runs]
+        at = [d_at[ia] + p_at[ib] - base for (d_at, p_at, _, _), (ia, ib) in zip(kinds, pairs)]
+        every = np.concatenate(at)
+        slot[every] = np.arange(len(every))    # the last product at a position wins
+        pos = np.sort(every[slot[every] == np.arange(len(every))])
+        slot[pos] = np.arange(len(pos))
+        sums = np.zeros((3, len(pos)))
+        for total, a, (_, _, dv, pv), (ia, ib) in zip(sums, at, kinds, pairs):
+            np.add.at(total, slot[a], dv[ia] * pv[ib])
+        np.subtract(sums[0], sums[1], out=sums[1])
+        out.append((pos + base, sums[1:].copy()))
+    return np.concatenate([p for p, _ in out]), np.concatenate([s for _, s in out], axis=1)
 
-    def add(side, at, p):
-        nonlocal n
-        new = np.sort(at[ids[at] == 0])
-        new = new[np.diff(new, prepend=-1) != 0]
-        ids[new] = np.arange(n + 1, n + len(new) + 1)
-        n += len(new)
-        pos.append(new)
-        np.add.at(sums[side], ids[at] - 1, p)
 
-    # T: G[l, a, b] is entry (e0, e1, e2), G[m, b, c] entry s, keyed by b
-    t_row, t_col = e0 * k ** 3 + e1 * k, (e0 * k * k + e2)[s]
-    w_row, w_col = e0 * k * k + e1 * k, (e0 * k ** 3 + e2)[s]
-    for ia, ib in _pairs(e2, e1[s], k):
-        p = v[ia] * v[s][ib]
-        add(0, t_row[ia] + t_col[ib], p)         # at (l, m, a, c)
-        add(1, w_row[ia] + w_col[ib], p)         # at (m, l, a, c)
-    # rhs: g[l, m, n] is -entry (e0, e1, e2), G[n, a, c] an entry, keyed by n
-    for ia, ib in _pairs(e2, e0, k):
-        add(2, e0[ia] * k ** 3 + e1[ia] * k * k + e1[ib] * k + e2[ib], -v[ia] * v[ib])
-    return np.concatenate(pos), sums[0, :n] - sums[1, :n], sums[2, :n].copy()
+def _dense_sum(pos: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """np.sum of each row of the (len(vals), n) array that holds vals at
+    the sorted positions pos and 0.0 elsewhere, bit for bit, without that
+    array.  numpy sums a contiguous array pairwise: a run of more than 128
+    entries splits at half its length rounded down to a multiple of 8.
+    The halves are followed down to at most _BLOCK entries, each block
+    that holds entries goes to np.sum whole, an empty one sums to 0.0, and
+    the halves are added as numpy adds them."""
+    if n > _BLOCK:
+        half = n // 2 // 8 * 8
+        i = np.searchsorted(pos, half)
+        return (_dense_sum(pos[:i], vals[:, :i], half)
+                + _dense_sum(pos[i:] - half, vals[:, i:], n - half))
+    out = np.zeros(len(vals))
+    if len(pos):
+        block = np.zeros(n)
+        for r, val in enumerate(vals):
+            block[pos] = val
+            out[r] = np.sum(block)
+    return out
 
 
 def _nan_term(g: np.ndarray) -> bool:
@@ -235,25 +263,17 @@ def _adjoint_closure(g: np.ndarray) -> tuple[float, list[tuple[str, float, float
     partial sum unchanged and a zero one +0, so no value moves.  The only
     zero-factor product that is not zero, 0 * inf or 0 * nan, makes a
     dense output nan and with it both rows; ``_nan_term`` reads that case
-    off g.  rhs * rhs and then lhs * rhs are scattered, at the same
-    positions, into one zeroed contiguous 35^4 array laid out as the
-    einsums' output, so np.sum reduces each in the dense pairwise order.
-    max|lhs - rhs| is taken where either side has a term, and is 0.0 when
-    neither has one, as the dense max."""
-    k = len(g)
+    off g.  ``_dense_sum`` sums lhs * rhs and rhs * rhs in the pairwise
+    order np.sum takes over the einsums' contiguous output.  max|lhs - rhs|
+    is taken where either side has a term, and is 0.0 when neither has
+    one, as the dense max."""
     if _nan_term(g):
         c = unit = float("nan")
     else:
-        fit = np.zeros((k, k, k, k))
-        flat = fit.reshape(-1)
-        # the position -> index map lives in fit until the sums are done;
-        # every entry it sets is a position both scatters below overwrite
-        pos, lhs, rhs = _adjoint_sides(g, flat.view(np.int64))
-        unit = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        flat[pos] = rhs * rhs
-        denom = float(np.sum(fit))
-        flat[pos] = lhs * rhs
-        c = float(np.sum(fit) / denom) if denom > 0 else float("nan")
+        pos, sides = _adjoint_sides(g)
+        unit = float(np.max(np.abs(sides[0] - sides[1]), initial=0.0))
+        num, denom = _dense_sum(pos, sides * sides[1], g.size * len(g))
+        c = float(num / denom) if denom > 0 else float("nan")
     return c, [("adjoint_closure_constant", abs(c - 1.0), CLOSURE_TOL),
                ("adjoint_closure", unit, CLOSURE_TOL)]
 

@@ -520,16 +520,16 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     # defines it, so no stencil straddles the saturation step
     smooth = _continue_past_cutoff(sf, mask)
     h = grid.spacing
-    # the plaquettes below read rho on mask pixels only
-    rho = _by_strips(lambda w: _charge_density(w, h),
-                     np.zeros((grid.size, grid.size)), smooth, 2, 2, mask)
-    # 0.25 * (a + b + c + d) * h * h, in place
-    plaq = rho[:-1, :-1] + rho[:-1, 1:]
-    plaq += rho[1:, 1:]
-    plaq += rho[1:, :-1]
-    del rho
-    plaq *= 0.25
-    plaq = plaq[interior]
+    def plaquettes(window):
+        # 0.25 * (a + b + c + d) of rho on the corners, in place
+        rho = _charge_density(window, h)
+        plaq = rho[:-1, :-1] + rho[:-1, 1:]
+        plaq += rho[1:, 1:]
+        plaq += rho[1:, :-1]
+        plaq *= 0.25
+        return plaq
+
+    plaq = _by_strips(plaquettes, np.zeros(interior.shape), smooth, 2, 3, interior)[interior]
     plaq *= h
     plaq *= h
     fd_interior = plaq.sum()

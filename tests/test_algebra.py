@@ -485,17 +485,78 @@ def test_sparse_closure_matches_einsum_on_small_tensors(data, k):
     _assert_closure_matches_einsum(g.reshape(k, k, k))
 
 
-def test_sparse_closure_holds_at_most_two_35_4_arrays_whole():
-    # the einsum closure held lhs * rhs and rhs * rhs whole; the sparse
-    # sums add at most 2 MiB to that (they hold one such array)
-    g = alg.structure_constants()
+def _traced_peak(f, *args):
     tracemalloc.start()
     try:
-        alg._adjoint_closure(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 35 ** 4 * 8 + 2 * 2 ** 20
+
+
+def test_sparse_closure_holds_no_35_4_array():
+    # the einsum closure held lhs * rhs and rhs * rhs whole; the sparse
+    # sums stay under half of one such array (11.4 MiB)
+    assert _traced_peak(alg._adjoint_closure, alg.structure_constants()) <= 6 * 2 ** 20
+
+
+def test_sparse_closure_memory_is_the_positions_and_one_pass(monkeypatch):
+    # a g without zeros: every one of the k^4 positions has terms, there
+    # are 3 k^5 products in all, and each pass holds one block of outputs
+    # with its 3 k^3 products (the pass size is below a block's)
+    monkeypatch.setattr(alg, "_PASS", 1000)
+    k = 12
+    g = np.random.default_rng(0).standard_normal((k, k, k))
+    _assert_closure_matches_einsum(g)
+    peak = _traced_peak(alg._adjoint_closure, g)
+    # bytes; all the products take 8 * 3 k^5 = 5.7 MiB an array
+    assert peak <= 64 * k ** 4 + 128 * 3 * k ** 3
+
+
+def test_sparse_closure_matches_einsum_in_narrow_windows(monkeypatch):
+    # passes span at most four blocks of outputs
+    monkeypatch.setattr(alg, "_WINDOW", 4 * 35 * 35)
+    g = alg.structure_constants()
+    _assert_closure_matches_einsum(g)
+    rng = np.random.default_rng(4)
+    _assert_closure_matches_einsum(
+        np.where(rng.random(g.shape) < 0.04, rng.standard_normal(g.shape), 0.0))
+
+
+def _assert_dense_sum_is_np_sum(pos, vals, n):
+    dense = np.zeros((len(vals), n))
+    dense[:, pos] = vals
+    want = [float(np.sum(row)).hex() for row in dense]
+    assert [float(s).hex() for s in alg._dense_sum(pos, vals, n)] == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 135, 136, 137, 255, 257, 1001,
+                               alg._BLOCK - 1, alg._BLOCK, alg._BLOCK + 1, alg._BLOCK + 7,
+                               2 * alg._BLOCK + 9, 35 ** 4])
+def test_dense_sum_is_np_sum_of_the_dense_rows(n):
+    # the first test to fail if a numpy build changes its pairwise order:
+    # lengths about the 128-entry leaves and the _BLOCK blocks, and no
+    # multiples of 8; sparse, clustered (empty blocks) and dense rows with
+    # -0.0 entries and magnitudes 1e-8 to 1e8
+    rng = np.random.default_rng(n)
+    for pos in (np.flatnonzero(rng.random(n) < 0.002), np.flatnonzero(rng.random(n) < 0.6),
+                np.arange(min(n, 300)), np.arange(n // 2, n, 97)):
+        vals = rng.standard_normal((2, len(pos))) * 10.0 ** rng.integers(-8, 9, (2, len(pos)))
+        vals[:, rng.random(len(pos)) < 0.1] = -0.0
+        _assert_dense_sum_is_np_sum(pos, vals, n)
+
+
+def test_dense_sum_of_zero_rows():
+    for n in (5, 200, alg._BLOCK + 9, 35 ** 4):
+        for pos in (np.zeros(0, np.int64), np.arange(0, n, 3)):
+            _assert_dense_sum_is_np_sum(pos, np.stack([np.full(len(pos), -0.0),
+                                                       np.zeros(len(pos))]), n)
+
+
+def test_dense_sum_is_np_sum_on_the_shipped_closure():
+    # both products that fit c, at 35^4
+    pos, sides = alg._adjoint_sides(alg.structure_constants())
+    _assert_dense_sum_is_np_sum(pos, sides * sides[1], 35 ** 4)
 
 
 def test_pair_triples_close_like_pauli_matrices():

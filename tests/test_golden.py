@@ -7,7 +7,10 @@ here, as the rule that outputs stay byte-identical requires.  They were
 recorded under Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another
 numpy build may move the last bits of the einsum and field arithmetic
 and so the digests.  The adjoint closure sums only the nonzero products
-but reproduces einsum's summation order, so it moves with einsum.
+but reproduces einsum's summation order, so it moves with einsum.  Its
+fit sums follow np.sum's pairwise splits without the dense array, so a
+numpy build that changes that order fails
+test_algebra.py::test_dense_sum_is_np_sum_of_the_dense_rows first.
 """
 import hashlib
 import json
