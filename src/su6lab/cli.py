@@ -175,10 +175,10 @@ def _resolve_state(token: str, what: str = "state") -> st.CoherentState:
     raise ValueError(f"unknown {what} {token!r}; named states: {catalog}")
 
 
-def _write_file(args, files: list, name: str, payload: str | bytes,
-                **extra) -> None:
+def _write_file(args, files: list, name: str, payload, **extra) -> None:
     """Write one output file and its provenance sidecar, and list its name
-    in ``files``; ``extra`` goes into the sidecar."""
+    in ``files``; ``payload`` is bytes, a string or an iterable of string
+    chunks, and ``extra`` goes into the sidecar."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
     if isinstance(payload, bytes):
@@ -209,7 +209,7 @@ def _write_stokes(args, files: list, state, name: str, /, **extra):
 
     grid = field.TransverseGrid(size=args.grid, extent=args.extent)
     sf = field.stokes_fields(*field.synthesize(state, grid, waist=args.waist), grid)
-    _write_file(args, files, name, serialize.field_csv(sf), **extra,
+    _write_file(args, files, name, serialize.field_csv_chunks(sf), **extra,
                 columns=list(serialize.FIELD_COLUMNS))
     return sf
 

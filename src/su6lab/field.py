@@ -12,7 +12,10 @@ entry each (sizes at grid 1024): the three modes per grid and waist
 (48 MB), the integration disk with its pixel count per grid and disk
 radius (1 MB), and the bubble bin of every disk pixel with the pixel
 count of every bin per grid, radius, bins and profile (6.3 MB for a disk
-of the grid's extent).  The grid keeps its radius and azimuth (16 MB).
+of the grid's extent).  The grid keeps only its axis: ``rr`` and ``phi``
+are computed on each access, the mode stack reads each once, and the
+disk and the bins compute radius and azimuth strip by strip, only for
+the pixels they test or bin.
 
 The topological charge is computed two independent ways:
 
@@ -126,11 +129,13 @@ class TransverseGrid:
         h = self.spacing
         return -self.extent + h * (np.arange(self.size) + 0.5)
 
-    @cached_property
+    # radius and azimuth are computed on each access, not kept (16 MB at
+    # grid 1024)
+    @property
     def rr(self) -> np.ndarray:
         return np.hypot(self.axis[None, :], self.axis[:, None])
 
-    @cached_property
+    @property
     def phi(self) -> np.ndarray:
         return np.arctan2(self.axis[:, None], self.axis[None, :])
 
@@ -196,9 +201,11 @@ def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
     positive_finite("waist", waist)
     # a waist far below the pixel pitch overflows (r / w)^2; the norm
     # check below refuses it, so numpy need not warn on the way
+    rr = grid.rr
     with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(-((grid.rr / waist) ** 2))
-        ring = (np.sqrt(2.0) * grid.rr / waist) * envelope
+        envelope = np.exp(-((rr / waist) ** 2))
+        ring = (np.sqrt(2.0) * rr / waist) * envelope
+    del rr
     phase = np.exp(1j * grid.phi)
     plus = ring * phase
     minus = ring * np.conj(phase)
@@ -405,9 +412,22 @@ _STEPS = ((-2, 0), (-1, 0), (1, 0), (2, 0), (0, -2), (0, -1), (0, 1), (0, 2))
 
 @lru_cache(maxsize=1)
 def _disk(grid: TransverseGrid, radius: float) -> tuple[np.ndarray, int]:
-    # the integration disk (pixel centers within the radius) and its pixel
-    # count, read-only and built once per grid and radius
-    disk = grid.rr <= radius
+    # the integration disk, grid.rr <= radius, and its pixel count,
+    # read-only and built once per grid and radius.  (x/r)^2 + (y/r)^2 is
+    # within a few ulps of (hypot(x, y)/r)^2, so it decides the test where it
+    # lies more than 1e-12 from 1; hypot (13 ms at grid 1024) runs only on
+    # the pixels it leaves undecided
+    size, axis = grid.size, grid.axis
+    with np.errstate(over="ignore"):
+        squares = (axis / radius) ** 2
+    disk = np.empty((size, size), dtype=bool)
+    for rows in _row_strips(size):
+        ratio = squares[None, :] + squares[rows, None]
+        np.less_equal(ratio, 1.0, out=disk[rows])
+        unsure = np.abs(ratio - 1.0) <= 1e-12
+        if unsure.any():
+            r, c = np.nonzero(unsure)
+            disk[rows][r, c] = np.hypot(axis[c], axis[rows][r]) <= radius
     disk.setflags(write=False)
     return disk, int(np.count_nonzero(disk))
 
@@ -418,20 +438,23 @@ def _continue_past_cutoff(sf: StokesField, mask: np.ndarray):
     # charge reads rho only on mask pixels, and their stencils reach two
     # pixels along the row and the column, so only the dark pixels that
     # one dilation of the mask by those steps covers are filled, each from
-    # a mask pixel at most two away
+    # a mask pixel at most two away.  The dilation is taken on the rows
+    # that hold dark pixels only, from the mask rows within two of them
     spins = np.moveaxis(sf.n, -1, 0)
-    if sf.mask.all():
+    dark_rows = np.flatnonzero(~sf.mask.all(axis=1))
+    if not dark_rows.size:
         return spins
     padded, n = np.pad(mask, 2), mask.shape[0]
-    near = np.zeros_like(mask)
+    near = np.zeros((dark_rows.size, n), dtype=bool)
     for r, c in _STEPS:
-        near |= padded[r + 2:r + 2 + n, c + 2:c + 2 + n]
-    near &= ~sf.mask
+        near |= padded[dark_rows + r + 2, c + 2:c + 2 + n]
+    near &= ~sf.mask[dark_rows]
     # flatnonzero and divmod give np.nonzero's pixels in its order, without
     # its 2-D index walk (3 ms at grid 1024 even when nothing is found)
     rows, cols = np.divmod(np.flatnonzero(near), n)
     if not rows.size:
         return spins
+    rows = dark_rows[rows]
     continued = spins.copy()
     continued[:, rows, cols] = sf.n[_nearest_defined(sf.mask, rows, cols)].T
     return continued
@@ -614,13 +637,18 @@ def _bubble_bins(grid: TransverseGrid, disk_radius: float, n_theta: int, n_phi: 
                  profile: str) -> tuple[np.ndarray, np.ndarray]:
     # the bubble bin of every disk pixel in C order, built one strip of rows
     # at a time, and the pixel count of every bin; read-only and built once
-    # per grid, radius, bins and profile
+    # per grid, radius, bins and profile.  Radius and azimuth are computed at
+    # the disk pixels only, as grid.rr and grid.phi give them there
     disk, n_disk = _disk(grid, disk_radius)
+    axis = grid.axis
     flat = np.empty(n_disk, dtype=np.intp)
     start = 0
     for rows in _row_strips(grid.size):
-        theta = radial_to_polar(grid.rr[rows][disk[rows]], disk_radius, profile)
-        phi = grid.phi[rows][disk[rows]]
+        strip = disk[rows]
+        x = np.broadcast_to(axis, strip.shape)[strip]
+        y = np.broadcast_to(axis[rows, None], strip.shape)[strip]
+        theta = radial_to_polar(np.hypot(x, y), disk_radius, profile)
+        phi = np.arctan2(y, x)
         i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
         i_phi = np.minimum(
             ((phi + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1

@@ -11,8 +11,12 @@ forbids.
 Arrays are formatted by ``_distinct_text``: it formats each distinct
 float64 bit pattern once and indexes the texts back into place, so
 repeated values (grid axes, zeros, symmetric fields) cost one format
-each.  CSV tables are built in blocks of at most ``_BLOCK_CELLS`` cells
-so the temporary text arrays stay small at large grids.
+each.  CSV tables are built in blocks of at most ``_BLOCK_CELLS`` cells,
+one text chunk per block, so the temporary text arrays stay small at
+large grids.  The emitters join the chunks into one string;
+``field_csv_chunks`` hands them out one at a time instead, and the CLI
+writes the Stokes CSV from it, so the whole text (145-188 MB at grid
+1024) is never held.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .state import (
 __all__ = [
     "NOISE_CUTOFF",
     "field_csv",
+    "field_csv_chunks",
     "format_float",
     "g_tensor_csv",
     "g_tensor_entries",
@@ -48,7 +53,9 @@ __all__ = [
 ]
 
 
-_BLOCK_CELLS = 1 << 16
+# a block's distinct texts are Python strings of about 75 bytes each, held
+# twice while the block is joined: 2**14 cells keep that near 3 MB
+_BLOCK_CELLS = 1 << 14
 # |g| at or below this is cancellation noise of the trace arithmetic, not
 # a structure constant; the algebra export writes the value in its files
 NOISE_CUTOFF = 1e-14
@@ -80,23 +87,23 @@ def _distinct_text(values, nonfinite: str | None = None):
     return texts, inverse.reshape(a.shape)
 
 
-def _csv(columns, *arrays) -> str:
-    """CSV text: the ``columns`` header, then one line per row of the
-    arrays side by side.  Each array holds one row per line, either one
-    column (1-D) or several (2-D); every cell prints as format_float.
-    Integer columns print as integers, since '%.17g' of an integral
-    double below 2**53 is its decimal digits."""
+def _csv(columns, *arrays):
+    """CSV text in chunks: the ``columns`` header, then the lines of one
+    block at a time, one line per row of the arrays side by side.  Each
+    array holds one row per line, either one column (1-D) or several
+    (2-D); every cell prints as format_float.  Integer columns print as
+    integers, since '%.17g' of an integral double below 2**53 is its
+    decimal digits."""
     parts = [a[:, None] if a.ndim == 1 else a for a in arrays]
     rows = len(parts[0])
     step = max(1, _BLOCK_CELLS // sum(p.shape[1] for p in parts))
-    chunks = [",".join(columns) + "\n"]
+    yield ",".join(columns) + "\n"
     for lo in range(0, rows, step):
         block = np.hstack([p[lo:lo + step] for p in parts])
         texts, inverse = _distinct_text(block)
         cells = (texts + ",")[inverse]
         cells[:, -1] = texts[inverse[:, -1]] + "\n"
-        chunks.append("".join(cells.ravel().tolist()))
-    return "".join(chunks)
+        yield "".join(cells.ravel().tolist())
 
 
 # what JSON forbids raw in a string: backslash, quote, controls below U+0020
@@ -171,9 +178,10 @@ def json_text(obj) -> str:
     return _json_value(obj, "  ", 0) + "\n"
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text) -> None:
+    """Write ``text``, one string or an iterable of string chunks."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 # ------------------------------------------------------------------ states
@@ -228,7 +236,7 @@ def g_tensor_entries(g: np.ndarray) -> np.ndarray:
 
 
 def g_tensor_csv(g: np.ndarray) -> str:
-    return _csv(("l", "m", "n", "value"), g_tensor_entries(g))
+    return "".join(_csv(("l", "m", "n", "value"), g_tensor_entries(g)))
 
 
 # -------------------------------------------------------------- trajectories
@@ -265,7 +273,7 @@ def trajectory_csv(parameters, frames) -> str:
             row.extend([np.nan, np.nan])
         rows.append(row)
     table = np.array(rows, dtype=np.float64).reshape(-1, len(TRAJECTORY_COLUMNS))
-    return _csv(TRAJECTORY_COLUMNS, table)
+    return "".join(_csv(TRAJECTORY_COLUMNS, table))
 
 
 # ------------------------------------------------------------------- fields
@@ -273,12 +281,17 @@ def trajectory_csv(parameters, frames) -> str:
 FIELD_COLUMNS = ("x", "y", "S0", "S1", "S2", "S3", "nx", "ny", "nz")
 
 
-def field_csv(sf) -> str:
-    """Pixel rows in array order (y rising slowest, x fastest)."""
+def field_csv_chunks(sf):
+    """The chunks of ``field_csv(sf)``, one block of pixel rows at a time."""
     axis = sf.grid.axis
     planes = (sf.s0, sf.s1, sf.s2, sf.s3, sf.n[..., 0], sf.n[..., 1], sf.n[..., 2])
     return _csv(FIELD_COLUMNS, np.tile(axis, axis.size), np.repeat(axis, axis.size),
                 *(p.ravel() for p in planes))
+
+
+def field_csv(sf) -> str:
+    """Pixel rows in array order (y rising slowest, x fastest)."""
+    return "".join(field_csv_chunks(sf))
 
 
 def pgm_bytes(channel: np.ndarray) -> tuple[bytes, float, float]:
@@ -302,9 +315,9 @@ def pgm_bytes(channel: np.ndarray) -> tuple[bytes, float, float]:
 def texture_map_csv(tm) -> str:
     n_theta, n_phi = tm.bins
     theta_bin, phi_bin = np.indices((n_theta, n_phi))
-    return _csv(("theta_bin", "phi_bin", "nx", "ny", "nz", "count"),
-                theta_bin.ravel(), phi_bin.ravel(),
-                tm.vectors.reshape(-1, 3), tm.counts.ravel())
+    return "".join(_csv(("theta_bin", "phi_bin", "nx", "ny", "nz", "count"),
+                        theta_bin.ravel(), phi_bin.ravel(),
+                        tm.vectors.reshape(-1, 3), tm.counts.ravel()))
 
 
 # ----------------------------------------------------------------- sidecars

@@ -4,6 +4,7 @@ import filecmp
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,44 @@ def test_field_render_bubble_csv(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "bubble.csv.json").read_text())
     assert sidecar["mapping"]["profile"] == "area"
     assert sidecar["mapping"]["bins"] == [8, 16]
+
+
+def _render_args(tmp_path, grid):
+    tokens = ["field", "render", "--state", "neel_out", "--grid", str(grid),
+              "--out", str(tmp_path)]
+    args = cli.build_parser().parse_args(tokens)
+    args._argv = tokens
+    return args
+
+
+def test_stokes_csv_streams_block_by_block_into_the_file(tmp_path):
+    from su6lab import field
+
+    args = _render_args(tmp_path, 128)
+    grid = field.TransverseGrid(size=args.grid, extent=args.extent)
+    sf = field.stokes_fields(*field.synthesize(st.named_state("neel_out"), grid), grid)
+    # the header and several blocks of rows
+    assert len(list(ser.field_csv_chunks(sf))) > 3
+    files = []
+    cli._write_file(args, files, "stokes.csv", ser.field_csv_chunks(sf))
+    assert files == ["stokes.csv"]
+    assert (tmp_path / "stokes.csv").read_bytes() == ser.field_csv(sf).encode()
+
+
+def test_stokes_csv_is_written_without_holding_its_text(tmp_path):
+    from su6lab import field
+
+    args = _render_args(tmp_path, 256)
+    state = st.named_state("neel_out")
+    # the mode stack is kept across renders; only what the write adds counts
+    field.lg_mode(field.TransverseGrid(size=args.grid, extent=args.extent), 0)
+    tracemalloc.start()
+    try:
+        cli._write_stokes(args, [], state, "stokes.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "stokes.csv").stat().st_size
 
 
 # ------------------------------------------------------------- contract

@@ -9,6 +9,7 @@ against closed-form radial formulas evaluated per pixel.
 from __future__ import annotations
 
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,6 +53,25 @@ def test_radius_and_azimuth_are_the_meshgrid_formulas_bit_for_bit(size, extent):
     xx, yy = np.meshgrid(g.axis, g.axis, indexing="xy")
     assert rr.tobytes() == np.hypot(xx, yy).tobytes()
     assert phi.tobytes() == np.arctan2(yy, xx).tobytes()
+    # computed on each access, so the grid holds no plane of its own
+    assert g.rr is not g.rr and g.phi is not g.phi
+
+
+def test_grid_caches_hold_only_their_own_arrays():
+    # the mode stack, disk and bubble bins of a grid-512 texture leave
+    # nothing live beyond their arrays: no radius or azimuth plane
+    fd._mode_stack.cache_clear()
+    fd._disk.cache_clear()
+    fd._bubble_bins.cache_clear()
+    tracemalloc.start()
+    try:
+        g = fd.TransverseGrid(size=512, extent=3.0)
+        kept = [*fd._mode_stack(g, W), fd._disk(g, 3.0)[0],
+                *fd._bubble_bins(g, 3.0, 32, 64, "linear")]
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live <= sum(a.nbytes for a in kept) + (1 << 20)
 
 
 @pytest.mark.parametrize("size,extent,message", [
@@ -152,10 +172,11 @@ def test_mode_orthogonality_on_grid():
     assert abs(np.sum(np.conj(u1) * um)) * g.area < 1e-12
 
 
-@pytest.mark.parametrize("size,waist", [(65, 1.0), (64, 0.1)])
+@pytest.mark.parametrize("size,waist", [(65, 1.0), (64, 0.1), (1024, 1.0)])
 def test_lg_modes_are_the_direct_formula_bit_for_bit(size, waist):
     # the odd grid has a phi = 0 row through the vortex null, and waist 0.1
-    # underflows the envelope: both show the sign of a zero imaginary part
+    # underflows the envelope: both show the sign of a zero imaginary part;
+    # grid 1024 is the benchmark's
     g = fd.TransverseGrid(size=size, extent=3.0)
     envelope = np.exp(-((g.rr / waist) ** 2))
     for m in (-1, 0, 1):
@@ -964,6 +985,33 @@ def test_cached_disk_geometry_gives_the_per_call_bits(case):
         assert _charge_bits(charge_pass, sf, radius) == charge
         tm = fd.soup_bubble(sf, radius, bins, profile)
         assert _bubble_bits(tm.vectors, tm.counts) == bubble
+
+
+def _whole_plane_bins(g, radius, n_theta, n_phi, profile):
+    """The bubble bin of every disk pixel from the whole g.rr and g.phi."""
+    rr = g.rr
+    disk = rr <= radius
+    theta = fd.radial_to_polar(rr[disk], radius, profile)
+    i_theta = np.minimum((theta / np.pi * n_theta).astype(int), n_theta - 1)
+    i_phi = np.minimum(
+        ((g.phi[disk] + np.pi) / (2.0 * np.pi) * n_phi).astype(int), n_phi - 1)
+    return disk, i_theta * n_phi + i_phi
+
+
+@pytest.mark.parametrize("size", [1024, 1025])
+def test_disk_and_bins_are_the_whole_plane_formulas_at_the_benchmark_grid(size):
+    # the extent, and radii that are the exact radius of a pixel center, so
+    # the disk test falls to hypot on that pixel
+    g = fd.TransverseGrid(size=size, extent=3.0)
+    rr = g.rr
+    radii = [3.0, *(float(rr[i, j]) for i, j in ((700, 300), (512, 900), (3, 500)))]
+    for radius, (n_theta, n_phi), profile in zip(
+            radii, [(32, 64), (7, 50), (40, 3), (1, 1)],
+            ["linear", "area", "linear", "area"]):
+        disk, bins = _whole_plane_bins(g, radius, n_theta, n_phi, profile)
+        assert fd._disk(g, radius)[0].tobytes() == disk.tobytes()
+        assert fd._bubble_bins(g, radius, n_theta, n_phi, profile)[0].tobytes() \
+            == bins.astype(np.intp).tobytes()
 
 
 def test_disk_geometry_is_built_once_per_grid_and_radius_and_read_only():
