@@ -240,17 +240,6 @@ def _dense_sum(pos: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _nan_term(g: np.ndarray) -> bool:
-    """Whether a sum of [G_l, G_m] = sum_n g_lmn G_n, G = -g, has a nan
-    term: a nan entry, or an infinite entry that meets a zero one over the
-    contracted index (0 * inf is nan)."""
-    inf, zero = np.isinf(g), g == 0
-    per = [(inf.any(axis=ax), zero.any(axis=ax)) for ax in ((1, 2), (0, 2), (0, 1))]
-    # T contracts axis 2 of one factor with axis 1 of the other, rhs axis 2 with axis 0
-    return bool(np.isnan(g).any()) or any(
-        np.any(per[2][0] & per[d][1] | per[2][1] & per[d][0]) for d in (1, 0))
-
-
 def _adjoint_closure(g: np.ndarray) -> tuple[float, list[tuple[str, float, float]]]:
     """Least-squares constant c of lhs = c * rhs (nan if rhs = 0) over the
     closure relation [G_l, G_m] = sum_n g_lmn G_n with G = -g, and the two
@@ -261,13 +250,16 @@ def _adjoint_closure(g: np.ndarray) -> tuple[float, list[tuple[str, float, float
     and ``_adjoint_sides`` adds the same products in the same order but
     skips those with a zero factor: a zero product leaves a nonzero
     partial sum unchanged and a zero one +0, so no value moves.  The only
-    zero-factor product that is not zero, 0 * inf or 0 * nan, makes a
-    dense output nan and with it both rows; ``_nan_term`` reads that case
-    off g.  ``_dense_sum`` sums lhs * rhs and rhs * rhs in the pairwise
-    order np.sum takes over the einsums' contiguous output.  max|lhs - rhs|
-    is taken where either side has a term, and is 0.0 when neither has
+    zero-factor product that is not zero, 0 * inf or 0 * nan, needs an
+    entry of g that is not finite, and any such entry makes c and both
+    rows nan: were it G[l, a, b], every product G[l, a, b] G[l, b, c] is
+    inf or nan, so the one einsum sum x that is both T[l, l, a, c] and
+    W[l, l, a, c] is not finite, and lhs[l, l, a, c] = x - x is nan.
+    ``_dense_sum`` sums lhs * rhs and rhs * rhs in the pairwise order
+    np.sum takes over the einsums' contiguous output.  max|lhs - rhs| is
+    taken where either side has a term, and is 0.0 when neither has
     one, as the dense max."""
-    if _nan_term(g):
+    if not np.isfinite(g).all():
         c = unit = float("nan")
     else:
         pos, sides = _adjoint_sides(g)

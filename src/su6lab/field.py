@@ -12,10 +12,10 @@ entry each (sizes at grid 1024): the three modes per grid and waist
 (48 MB), the integration disk with its pixel count per grid and disk
 radius (1 MB), and the bubble bin of every disk pixel with the pixel
 count of every bin per grid, radius, bins and profile (6.3 MB for a disk
-of the grid's extent).  The grid keeps only its axis: ``rr`` and ``phi``
-are computed on each access, the mode stack reads each once, and the
-disk and the bins compute radius and azimuth strip by strip, only for
-the pixels they test or bin.
+of the grid's extent).  The grid keeps no array: its axis, ``rr`` and
+``phi`` are computed on each access, the mode stack reads each once, and
+the disk and the bins compute radius and azimuth strip by strip, only
+for the pixels they test or bin.
 
 The topological charge is computed two independent ways:
 
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -124,13 +124,14 @@ class TransverseGrid:
     def area(self) -> float:
         return self.spacing**2
 
-    @cached_property
+    # the axis, rr and phi are computed on each access: the caches key on
+    # grid equality, so an array kept on one grid and written into would
+    # reach every equal grid
+    @property
     def axis(self) -> np.ndarray:
         h = self.spacing
         return -self.extent + h * (np.arange(self.size) + 0.5)
 
-    # radius and azimuth are computed on each access, not kept (16 MB at
-    # grid 1024)
     @property
     def rr(self) -> np.ndarray:
         return np.hypot(self.axis[None, :], self.axis[:, None])
@@ -413,21 +414,12 @@ _STEPS = ((-2, 0), (-1, 0), (1, 0), (2, 0), (0, -2), (0, -1), (0, 1), (0, 2))
 @lru_cache(maxsize=1)
 def _disk(grid: TransverseGrid, radius: float) -> tuple[np.ndarray, int]:
     # the integration disk, grid.rr <= radius, and its pixel count,
-    # read-only and built once per grid and radius.  (x/r)^2 + (y/r)^2 is
-    # within a few ulps of (hypot(x, y)/r)^2, so it decides the test where it
-    # lies more than 1e-12 from 1; hypot (13 ms at grid 1024) runs only on
-    # the pixels it leaves undecided
+    # read-only and built once per grid and radius; the radius is taken
+    # strip by strip, as grid.rr gives it there
     size, axis = grid.size, grid.axis
-    with np.errstate(over="ignore"):
-        squares = (axis / radius) ** 2
     disk = np.empty((size, size), dtype=bool)
     for rows in _row_strips(size):
-        ratio = squares[None, :] + squares[rows, None]
-        np.less_equal(ratio, 1.0, out=disk[rows])
-        unsure = np.abs(ratio - 1.0) <= 1e-12
-        if unsure.any():
-            r, c = np.nonzero(unsure)
-            disk[rows][r, c] = np.hypot(axis[c], axis[rows][r]) <= radius
+        np.less_equal(np.hypot(axis[None, :], axis[rows, None]), radius, out=disk[rows])
     disk.setflags(write=False)
     return disk, int(np.count_nonzero(disk))
 

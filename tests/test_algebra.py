@@ -461,13 +461,12 @@ def test_zero_times_inf_makes_both_rows_nan():
     # it: the dense sums still hold 0 * inf = nan, and so must the rows
     g = np.zeros((2, 2, 2))
     g[1, 0, 1] = np.inf
-    assert alg._nan_term(g)
     _assert_closure_matches_einsum(g)
     assert all(np.isnan(resid) for _, resid, _ in alg._adjoint_closure(g)[1])
-    # an inf among nonzero entries only: no nan term, the inf propagates
+    # an inf among nonzero entries only: it meets no zero, and still
+    # lhs[l, l] = x - x is nan where x is inf
     g = np.full((2, 2, 2), 0.5)
     g[1, 0, 1] = np.inf
-    assert not alg._nan_term(g)
     _assert_closure_matches_einsum(g)
 
 
@@ -483,6 +482,21 @@ def test_sparse_closure_matches_einsum_on_small_tensors(data, k):
     # dense tensors without zeros included
     g = np.array(data.draw(hs.lists(_ENTRIES, min_size=k ** 3, max_size=k ** 3)))
     _assert_closure_matches_einsum(g.reshape(k, k, k))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=hs.data(), k=hs.integers(1, 6),
+       bad=hs.sampled_from([np.inf, -np.inf, np.nan]))
+def test_a_non_finite_entry_makes_c_and_both_rows_nan(data, k, bad):
+    # the premise of the closure's finiteness test: the dense einsums give
+    # nan for c and both rows whenever g has an entry that is not finite
+    g = np.array(data.draw(hs.lists(_ENTRIES, min_size=k ** 3, max_size=k ** 3)))
+    g[data.draw(hs.integers(0, k ** 3 - 1))] = bad
+    g = g.reshape(k, k, k)
+    with np.errstate(all="ignore"):
+        c, rows = _einsum_closure(g)
+    assert np.isnan([c, *(resid for _, resid, _ in rows)]).all()
+    _assert_closure_matches_einsum(g)
 
 
 def _traced_peak(f, *args):

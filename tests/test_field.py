@@ -74,6 +74,34 @@ def test_grid_caches_hold_only_their_own_arrays():
     assert live <= sum(a.nbytes for a in kept) + (1 << 20)
 
 
+def test_writing_into_one_axis_leaves_every_equal_grid_alone():
+    # the caches key on grid equality, so an axis that one grid kept and
+    # that was written into would reach every equal grid
+    def disk_and_bins(g):
+        disk, count = fd._disk(g, 3.0)
+        return disk.tobytes(), count, fd._bubble_bins(g, 3.0, 8, 16, "linear")[0].tobytes()
+
+    def modes(g):
+        return [fd.lg_mode(g, m).tobytes() for m in (1, -1, 0)]
+
+    def clear():
+        for cache in (fd._mode_stack, fd._disk, fd._bubble_bins):
+            cache.cache_clear()
+
+    clear()
+    g = fd.TransverseGrid(64, 3.0)
+    want = disk_and_bins(g), modes(g)
+    assert want[0][1] == 3228
+    g.axis[:] = 0
+    clear()
+    disk_and_bins(g)  # the caches are built from g
+    got = disk_and_bins(fd.TransverseGrid(64, 3.0))
+    assert got[1] == 3228 and got == want[0]
+    modes(g)
+    assert modes(fd.TransverseGrid(64, 3.0)) == want[1]
+    assert g.axis is not g.axis
+
+
 @pytest.mark.parametrize("size,extent,message", [
     (8, 3.0, "size must be an integer >= 16, got 8"),
     (64.0, 3.0, "size must be an integer >= 16, got 64.0"),
@@ -1001,7 +1029,7 @@ def _whole_plane_bins(g, radius, n_theta, n_phi, profile):
 @pytest.mark.parametrize("size", [1024, 1025])
 def test_disk_and_bins_are_the_whole_plane_formulas_at_the_benchmark_grid(size):
     # the extent, and radii that are the exact radius of a pixel center, so
-    # the disk test falls to hypot on that pixel
+    # that pixel lies on the circle
     g = fd.TransverseGrid(size=size, extent=3.0)
     rr = g.rr
     radii = [3.0, *(float(rr[i, j]) for i, j in ((700, 300), (512, 900), (3, 500)))]

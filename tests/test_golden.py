@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of the stdout and of every file written by
-each acceptance-criterion-10 recipe.
+each acceptance-criterion-10 recipe, and aggregate digests over the
+texture values and the bench parser's outcomes.
 
 Criterion 10 compares two runs of the same code.  These digests were
 recorded once, so any change to an emitted byte between commits fails
@@ -19,8 +20,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from su6lab import field as fd
+from su6lab import state as st
 from su6lab.cli import main
 from su6lab.optics import parse_bench, shipped_bench_path
 from test_acceptance import RECIPES
@@ -295,3 +299,69 @@ def test_parser_outcomes_on_mutated_benches_match_golden_digest():
         digest.update(repr(_parse_outcome(_mutated_bench(rng))).encode() + b"\n")
     assert digest.hexdigest() == (
         "a7e9b0d849f7d8d3d25f166b7aa25a5fa71d45b0400f8df1626023b1a1fa7d8c")
+
+
+# ----------------------------------------------------------- texture corpus
+
+
+def _texture_corpus(put):
+    """Every texture value the corpus pins, in order, through put."""
+    # the integration disk: the extent, a radius off the pixel centres and
+    # the exact radii of three pixel centres, so pixels lie on the circle
+    for size in (16, 17, 64, 65, 256, 1024, 1025):
+        g = fd.TransverseGrid(size, 3.0)
+        rr = g.rr
+        centres = ((size // 5, size // 3), (size // 2, 0), (size - 1, size // 2))
+        for radius in (3.0, 1.7, *(float(rr[i, j]) for i, j in centres)):
+            disk, count = fd._disk(g, radius)
+            put(radius, disk, count)
+    # the 16 named states and four seeded ones: modes, Stokes fields, mask
+    # and every charge field, or the refusal message, over two disks
+    states = [st.named_state(name) for name in st.state_names()]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        states.append(st.CoherentState(rng.standard_normal(6)
+                                       + 1j * rng.standard_normal(6)))
+    for size in (16, 17, 64, 65, 256):
+        for extent in (3.0, 4.2):
+            g = fd.TransverseGrid(size, extent)
+            put(*(fd.lg_mode(g, m) for m in (1, -1, 0)))
+            for state in states:
+                sf = fd.stokes_fields(*fd.synthesize(state, g), g)
+                put(sf.s0, sf.s1, sf.s2, sf.s3, sf.n, sf.mask)
+                for disk in (None, 1.7):
+                    try:
+                        q = fd.topological_charge(sf, disk)
+                    except ValueError as err:
+                        put(str(err))
+                    else:
+                        put(q.finite_difference, q.solid_angle, q.closure,
+                            *q.rim_spin, q.rim_alignment, q.undefined_fraction,
+                            q.disk_radius)
+    # two bubble maps
+    for name, size, extent, disk, bins, profile in (
+            ("neel_out", 256, 3.0, None, (32, 64), "linear"),
+            ("bloch_left", 65, 4.2, 1.7, (7, 50), "area")):
+        g = fd.TransverseGrid(size, extent)
+        sf = fd.stokes_fields(*fd.synthesize(st.named_state(name), g), g)
+        tm = fd.soup_bubble(sf, disk, bins, profile)
+        put(tm.vectors, tm.counts)
+
+
+def test_texture_values_match_golden_digest():
+    # floats as float.hex, arrays as dtype, shape and bytes, messages as text
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            if isinstance(v, np.ndarray):
+                text = f"{v.dtype}{v.shape}".encode() + v.tobytes()
+            elif isinstance(v, (float, np.floating)):
+                text = float(v).hex().encode()
+            else:
+                text = repr(v).encode()
+            digest.update(text + b"\n")
+
+    _texture_corpus(put)
+    assert digest.hexdigest() == (
+        "61fbe9fa3bc9a10f2d25b44efa5cddc5b06b107dd3e33c3d9a90bde5e95b81e5")
