@@ -8,14 +8,16 @@ the unit spin texture n = (S1, S2, S3)/S0, defined where S0 exceeds
 1e-12 of its peak.
 
 What does not depend on the state is built once and kept read-only, one
-entry each (sizes at grid 1024): the three modes per grid and waist
-(48 MB), the integration disk with its pixel count per grid and disk
-radius (1 MB), and the bubble bin of every disk pixel with the pixel
-count of every bin per grid, radius, bins and profile (6.3 MB for a disk
-of the grid's extent).  The grid keeps no array: its axis, ``rr`` and
-``phi`` are computed on each access, the mode stack reads each once, and
-the disk and the bins compute radius and azimuth strip by strip, only
-for the pixels they test or bin.
+entry each (sizes at grid 1024): the modes per grid and waist (24 MB:
+the m = +1 mode, the real m = 0 plane and the few pixels where the
+m = -1 mode is not conj(m = +1) bit for bit, from which synthesis
+rebuilds it strip by strip), the integration disk with its pixel count
+per grid and disk radius (1 MB), and the bubble bin of every disk pixel
+with the pixel count of every bin per grid, radius, bins and profile
+(6.3 MB for a disk of the grid's extent).  The grid keeps no array: its
+axis, ``rr`` and ``phi`` are computed on each access, the mode stack
+reads each once, and the disk and the bins compute radius and azimuth
+strip by strip, only for the pixels they test or bin.
 
 The topological charge is computed two independent ways:
 
@@ -195,10 +197,12 @@ class SpinTextureMap:
 
 @lru_cache(maxsize=1)
 def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
-    # the LG modes m = +1, -1, 0, read-only and built once per grid and
-    # waist.  exp(-i phi) is the conjugate of exp(i phi) bit for bit, so
-    # one complex exp serves both vortices; conjugating the finished
-    # m = +1 mode instead would flip the sign of its zero imaginary parts
+    # the LG modes, built once per grid and waist and read-only: the m = +1
+    # mode, the m = 0 mode's real plane, and the flat pixels ``at`` where
+    # m = -1 is not conj(plus) bit for bit, with its values ``fix``.  All
+    # three are built whole and compared (a float-times-complex product
+    # taken strip by strip can round a subnormal to a zero of the other
+    # sign).  exp(-i phi) is conj(exp(i phi)) bit for bit: one exp serves both
     positive_finite("waist", waist)
     # a waist far below the pixel pitch overflows (r / w)^2; the norm
     # check below refuses it, so numpy need not warn on the way
@@ -210,21 +214,39 @@ def _mode_stack(grid: TransverseGrid, waist: float) -> tuple[np.ndarray, ...]:
     phase = np.exp(1j * grid.phi)
     plus = ring * phase
     minus = ring * np.conj(phase)
+    del ring, phase
     # |plus| equals |minus| pixel by pixel, so they share the norm
     scale = np.sqrt(np.sum(np.abs(plus) ** 2) * grid.area)
     zero = envelope.astype(complex)
+    del envelope
     zero_scale = np.sqrt(np.sum(np.abs(zero) ** 2) * grid.area)
     if not (0 < scale < np.inf and 0 < zero_scale < np.inf):  # NaN fails too
         raise ValueError(
             f"waist {waist} gives a mode of zero or non-finite norm on the "
             f"grid of size {grid.size} and extent {grid.extent}")
-    stack = (plus / scale, minus / scale, zero / zero_scale)
+    # in place, so no second set of planes is freed among the kept ones
+    plus /= scale
+    minus /= scale
+    zero /= zero_scale
+    # patched: the y = 0 half-row of an odd grid (conj(plus) flips a zero
+    # imaginary part's sign) and a zero ring where the envelope underflows
+    # (a zero real part of the other sign); zero's imaginary part is +0.0
+    differs = minus.view(np.uint64) != np.conj(plus).view(np.uint64)
+    at = np.flatnonzero(differs.reshape(-1, 2).any(axis=1))
+    stack = (plus, zero.real.copy(), at, minus.reshape(-1)[at])
     for u in stack:
         u.setflags(write=False)
     return stack
 
 
-_MODE_INDEX = {1: 0, -1: 1, 0: 2}
+def _minus_mode(stack: tuple[np.ndarray, ...], rows: slice = slice(None)) -> np.ndarray:
+    """The m = -1 mode on ``rows``: conj(plus) with the stack's patches."""
+    plus, _, at, fix = stack
+    first = (rows.start or 0) * plus.shape[1]
+    u = np.conj(plus[rows])
+    lo, hi = np.searchsorted(at, (first, first + u.size))
+    u.reshape(-1)[at[lo:hi] - first] = fix[lo:hi]
+    return u
 
 
 def lg_mode(grid: TransverseGrid, m: int, waist: float = 1.0) -> np.ndarray:
@@ -232,26 +254,35 @@ def lg_mode(grid: TransverseGrid, m: int, waist: float = 1.0) -> np.ndarray:
 
     m = 0 is the Gaussian exp(-r^2/w^2); m = +-1 carry the ring envelope
     (sqrt(2) r / w) exp(-r^2/w^2) and the azimuthal phase exp(i m phi).
-    L2-normalized on the grid.  The array is read-only and shared: the
-    modes are built once per grid and waist.
+    L2-normalized on the grid and read-only.  The modes are built once per
+    grid and waist; m = +1 is the kept array, shared, and m = -1 and 0 are
+    rebuilt from the kept arrays on each call, bit for bit the same.
     """
-    if m not in _MODE_INDEX:
+    if m not in (-1, 0, 1):
         raise ValueError(f"orbital charge m must be -1, 0 or +1, got {m}")
-    return _mode_stack(grid, waist)[_MODE_INDEX[m]]
+    stack = _mode_stack(grid, waist)
+    if m == 1:
+        return stack[0]
+    u = _minus_mode(stack) if m == -1 else stack[1].astype(complex)
+    u.setflags(write=False)
+    return u
 
 
 def synthesize(
     state: CoherentState, grid: TransverseGrid, waist: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field pair (E_left, E_right) of the circular polarizations."""
-    modes = _mode_stack(grid, waist)
+    stack = _mode_stack(grid, waist)
+    plus, zero = stack[:2]
     a = state.alpha
     e_left, e_right = np.empty((2, grid.size, grid.size), dtype=complex)
     for rows in _row_strips(grid.size):
+        minus = _minus_mode(stack, rows)
         for e, amps in ((e_left, a[:3]), (e_right, a[3:])):
-            np.multiply(amps[0], modes[0][rows], out=e[rows])
-            e[rows] += amps[1] * modes[1][rows]
-            e[rows] += amps[2] * modes[2][rows]
+            np.multiply(amps[0], plus[rows], out=e[rows])
+            e[rows] += amps[1] * minus
+            # the real plane multiplies as x + 0j, the m = 0 mode's bits
+            e[rows] += amps[2] * zero[rows]
     return e_left, e_right
 
 

@@ -226,16 +226,68 @@ def test_mode_stack_is_built_once_per_grid_and_read_only():
     info = fd._mode_stack.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     stack = fd._mode_stack(g, W)
-    for m, u in zip((1, -1, 0), stack):
-        assert fd.lg_mode(g, m, waist=W) is u
+    for u in stack:
         assert not u.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
+            u[:1] = 0
+    # m = +1 is the kept array; m = -1 and 0 are rebuilt, read-only, the
+    # same bits on every call, from the one entry
+    assert fd.lg_mode(g, 1, waist=W) is stack[0]
+    for m in (-1, 0):
+        u = fd.lg_mode(g, m, waist=W)
+        assert u.tobytes() == fd.lg_mode(g, m, waist=W).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0
+    assert fd._mode_stack.cache_info().misses == 1
     with pytest.raises(ValueError, match="waist"):
         fd.lg_mode(g, 1, waist=0.0)
 
 
+def test_mode_stack_keeps_24_bytes_a_pixel_and_patches_only_where_needed():
+    # m = -1 is conj(m = +1) bit for bit at every pixel of an even grid
+    # whose envelope does not underflow; the y = 0 half-row of an odd grid
+    # and an underflowing envelope (waist 0.1) need patches
+    fd._mode_stack.cache_clear()
+    g = fd.TransverseGrid(size=512, extent=3.0)
+    stack = fd._mode_stack(g, 1.0)
+    assert sum(u.nbytes for u in stack) <= 24 * 512 * 512
+    assert stack[2].size == 0
+    for size, waist in ((65, 1.0), (64, 0.1)):
+        plus, _, at, fix = fd._mode_stack(fd.TransverseGrid(size, 3.0), waist)
+        assert at.size > 0
+        differs = np.conj(plus).reshape(-1)[at].view(np.uint64) != fix.view(np.uint64)
+        assert differs.reshape(-1, 2).any(axis=1).all()
+
+
 # -------------------------------------------------------------- synthesis
+
+
+@pytest.mark.parametrize("size,waist", [(17, 1.0), (64, 1.0), (65, 1.0), (64, 0.1)])
+def test_synthesize_is_the_three_plane_formula_bit_for_bit(size, waist):
+    # the three-plane synthesis: the complex modes, built by the direct
+    # formula, each times its amplitude.  The amplitudes include exact
+    # zeros and negative zeros, whose signs reach the field's zero parts;
+    # at waist 0.1 the all -1 amplitudes show a patch of the m = -1 mode
+    g = fd.TransverseGrid(size=size, extent=3.0)
+    envelope = np.exp(-((g.rr / waist) ** 2))
+    modes = [(np.sqrt(2.0) * g.rr / waist) * envelope * np.exp(1j * m * g.phi)
+             for m in (1, -1)] + [envelope.astype(complex)]
+    modes = [u / np.sqrt(np.sum(np.abs(u) ** 2) * g.area) for u in modes]
+    states = [st.named_state(name) for name in ("neel_out", "basis_3", "dipolar")]
+    states += [st.CoherentState([complex(0.0, -0.0), 1.0, complex(-1.0, -0.0),
+                                 complex(0.5, -0.0), 0.0, complex(-0.0, 1.0)]),
+               st.CoherentState([-1.0, -1.0, -1.0, complex(-1.0, -0.0),
+                                 complex(0.0, -0.0), 0.0])]
+    assert np.signbit(states[-2].alpha[0].imag) and np.signbit(states[-1].alpha[4].imag)
+    for state in states:
+        a = state.alpha
+        want = []
+        for amps in (a[:3], a[3:]):
+            e = amps[0] * modes[0]
+            e += amps[1] * modes[1]
+            e += amps[2] * modes[2]
+            want.append(e.tobytes())
+        assert [e.tobytes() for e in fd.synthesize(state, g, waist)] == want
 
 
 def test_synthesize_single_basis_state():

@@ -41,7 +41,7 @@ def texture(size: int) -> dict:
     from su6lab import field, state
 
     grid = field.TransverseGrid(size=size, extent=3.0)
-    field.lg_mode(grid, 0)
+    field.lg_mode(grid, 1)  # builds the mode stack and returns its kept array
     states = [state.named_state(name) for name in STATES]
     setup_mb = _peak_mb()
     times = {stage: [] for stage in STAGES}
