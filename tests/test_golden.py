@@ -27,6 +27,7 @@ from su6lab import field as fd
 from su6lab import state as st
 from su6lab.cli import main
 from su6lab.optics import parse_bench, shipped_bench_path
+from su6lab.serialize import save_state
 from test_acceptance import RECIPES
 
 GOLDEN = {
@@ -173,6 +174,34 @@ EXTENT_GOLDEN = {
 }
 
 
+# not criterion-10 recipes: the antiskyrmion sweeps (HWP1's 19 frames all
+# leave the torus family, so theta_p and phi_t print nan), the Jacobi row
+# at two more seeds, and a state file with n0 != 1, run from the file's
+# directory because stdout echoes the token
+STATE_FILE = "s.json"
+EXTRA_GOLDEN = {
+    "bench sweep --bench antiskyrmion --element HWP3": {
+        "<stdout>": "561935d0a0b78f7dea2be25bbe7219a92100c0332cab5a27907fa43825cf008c",
+        "trajectory.csv": "1151194f158f5d1a0cf5314be7988fb2e7c1bbfb7a82a87c847e7864a3d89d1f",
+        "trajectory.csv.json": "129147069ee1759237936dbd2ffdd8f7d0abafbf30467ee7cae5c9b779956626",
+    },
+    "bench sweep --bench antiskyrmion --element HWP1": {
+        "<stdout>": "3ff8e060811c9a1057f77f8224be5f5f20906bad5a8b7b53f35dca5dc0f5e1e6",
+        "trajectory.csv": "6575dea58e256b20a2fbde355978757d569428cf69937a94a247502ade43468a",
+        "trajectory.csv.json": "441018a01583a46d541a71508c7379b99900fb58456802632656952c78112c71",
+    },
+    "algebra verify --seed 0": {
+        "<stdout>": "45e63c494e99a24f27627f04904df6670436654883a2ef65fe2524f647540a9d",
+    },
+    "algebra verify --seed 1234567": {
+        "<stdout>": "a07de9bcd8948a5cc92ad03453c81349784dd1f6af6d6181c301925be1703729",
+    },
+    f"state eval --state {STATE_FILE} --spheres --torus": {
+        "<stdout>": "387bce22d79e21ecd8b84d4ed23b703c380f5c9ff47c6787944fb77e6a1d0fcb",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -196,6 +225,21 @@ def test_continued_texture_render_matches_golden_digests(tmp_path, capsys):
     for path in sorted(tmp_path.iterdir()):
         got[path.name] = _sha256(path.read_bytes())
     assert got == EXTENT_GOLDEN
+
+
+@pytest.mark.parametrize("recipe", EXTRA_GOLDEN)
+def test_extra_outputs_match_golden_digests(recipe, tmp_path, capsys,
+                                            monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    save_state(str(work / STATE_FILE), st.named_state("bloch_left", n0=3.0))
+    monkeypatch.chdir(work)
+    out = tmp_path / "out"
+    assert main([*recipe.split(), "--out", str(out)]) == 0
+    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        got[path.name] = _sha256(path.read_bytes())
+    assert got == EXTRA_GOLDEN[recipe]
 
 
 def test_recipes_match_golden_digests_with_scipy_blocked(tmp_path):
