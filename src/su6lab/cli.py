@@ -19,6 +19,7 @@ digits; each command ends with exactly one JSON document on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -62,6 +63,11 @@ def _grid_size(text: str) -> int:
                        f"grid size must be an integer >= {st.MIN_GRID}")
 
 
+def _seed(text: str) -> int:
+    return _flag_value(int, text, lambda n: n >= 0,
+                       "seed must be a non-negative integer")
+
+
 def _bins(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -79,7 +85,7 @@ def _common() -> argparse.ArgumentParser:
                         help="half-width of the grid in waist units")
     common.add_argument("--waist", type=_positive_float, default=1.0,
                         help="mode waist")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="seed for randomized checks")
     common.add_argument("--tolerance", type=_positive_float, default=None,
                         help="override the command's comparison tolerance")
@@ -283,11 +289,18 @@ def cmd_algebra_export(args) -> int:
 def cmd_state_eval(args) -> int:
     state = _resolve_state(args.state)
     vec = st.all_expectations(state)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+        if not np.isfinite(norm):
+            # the squares overflow first: scale them by n0
+            norm = state.n0 * float(np.linalg.norm(vec / state.n0))
+    if not np.isfinite(norm):
+        raise ValueError(f"hypersphere norm overflows at n0 = {state.n0!r}")
     obj = {
         "command": "state eval",
         "state": args.state,
         **serialize.state_to_obj(state),
-        "hypersphere_norm": float(np.linalg.norm(vec)),
+        "hypersphere_norm": norm,
     }
     if args.spheres:
         obj["spheres"] = _spheres(state, "skyrmion", "antiskyrmion", "oam",
@@ -345,6 +358,21 @@ def cmd_bench_run(args) -> int:
     return 0
 
 
+def _sweep_table(parameters, frames, tol_deg: float):
+    """(table, labels) in one pass over the frames: each frame's row in
+    TRAJECTORY_COLUMNS order (torus angles nan off the family) and label."""
+    table = np.full((len(frames), len(serialize.TRAJECTORY_COLUMNS)), np.nan)
+    labels = []
+    for row, value, frame in zip(table, parameters, frames):
+        labels.append(st.classify_texture(frame, tol_deg=tol_deg))
+        row[:-2] = (value, *st.skyrmion_sphere(frame).coords,
+                    *st.antiskyrmion_sphere(frame).coords, *st.oam_sphere(frame).coords)
+        with contextlib.suppress(ValueError):
+            torus = st.state_to_torus(frame, tol=st._TORUS_TOL)
+            row[-2:] = torus.theta_p, torus.phi_t
+    return table, labels
+
+
 def cmd_bench_sweep(args) -> int:
     from . import optics
 
@@ -352,12 +380,11 @@ def cmd_bench_sweep(args) -> int:
     result = optics.run_sweep(
         bench, sweep=args.element,
         input_state=_resolve_state(bench.input_state, "bench input"))
-    tol_deg = args.tolerance or 1.0
-    labels = [st.classify_texture(f, tol_deg=tol_deg) for f in result.frames]
+    table, labels = _sweep_table(result.parameters, result.frames,
+                                 args.tolerance or 1.0)
     files = []
     _write_file(
-        args, files, "trajectory.csv",
-        serialize.trajectory_csv(result.parameters, result.frames),
+        args, files, "trajectory.csv", serialize.trajectory_csv(table),
         bench=bench.name,
         element=result.sweep.element_id,
         record=list(result.sweep.record),

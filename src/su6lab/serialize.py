@@ -1,12 +1,14 @@
 """Deterministic emitters: JSON, CSV, PGM and provenance sidecars.
 
-Every float is printed with 17 significant digits ('%.17g'), enough to
-round-trip IEEE doubles, so identical inputs give byte-identical files.
-CSV cells print non-finite values and negative zero as '%.17g' does
-('nan', 'inf', '-inf', '-0'); JSON writes null where CSV writes nan or
-inf.  The JSON writer is local because the stdlib emitter prints
-shortest repr, not a fixed format, and emits NaN literals that JSON
-forbids.
+The emitters format what they are given and compute nothing: the CLI
+evaluates a bench sweep's frames once and hands ``trajectory_csv`` the
+table.  Every float is printed with 17 significant digits ('%.17g'),
+enough to round-trip IEEE doubles, so identical inputs give
+byte-identical files.  CSV cells print non-finite values and negative
+zero as '%.17g' does ('nan', 'inf', '-inf', '-0'); JSON writes null
+where CSV writes nan or inf.  The JSON writer is local because the
+stdlib emitter prints shortest repr, not a fixed format, and emits NaN
+literals that JSON forbids.
 
 Arrays are formatted by ``_distinct_text``: it formats each distinct
 float64 bit pattern once and indexes the texts back into place, so
@@ -25,14 +27,7 @@ import os
 import numpy as np
 
 from .algebra import BASIS_VERSION
-from .state import (
-    _TORUS_TOL,
-    CoherentState,
-    antiskyrmion_sphere,
-    oam_sphere,
-    skyrmion_sphere,
-    state_to_torus,
-)
+from .state import CoherentState
 
 __all__ = [
     "NOISE_CUTOFF",
@@ -219,7 +214,9 @@ def load_state(path: str) -> CoherentState:
         if type(n0) not in (int, float):
             raise ValueError(f"'n0' must be a real number, got {n0!r}")
         alpha = np.array([complex(re, im) for re, im in pairs])
-        return CoherentState(alpha, n0=float(n0))
+        # huge amplitudes are refused by name, without numpy's warning
+        with np.errstate(over="ignore"):
+            return CoherentState(alpha, n0=float(n0))
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -257,22 +254,8 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def trajectory_csv(parameters, frames) -> str:
-    """One row per sweep frame: swept value (degrees), the three sphere
-    coordinate triples (units of hbar*N0) and the torus angles (radians,
-    blank-as-nan when the frame leaves the torus family)."""
-    rows = []
-    for value, frame in zip(parameters, frames):
-        row = [value]
-        for sphere in (skyrmion_sphere, antiskyrmion_sphere, oam_sphere):
-            row.extend(sphere(frame).coords)
-        try:
-            torus = state_to_torus(frame, tol=_TORUS_TOL)
-            row.extend([torus.theta_p, torus.phi_t])
-        except ValueError:
-            row.extend([np.nan, np.nan])
-        rows.append(row)
-    table = np.array(rows, dtype=np.float64).reshape(-1, len(TRAJECTORY_COLUMNS))
+def trajectory_csv(table) -> str:
+    """A bench sweep's (frames, 12) table, columns in TRAJECTORY_COLUMNS order."""
     return "".join(_csv(TRAJECTORY_COLUMNS, table))
 
 

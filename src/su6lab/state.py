@@ -107,7 +107,10 @@ class CoherentState:
                 )
             raise ValueError("amplitude vector norm overflows")
         if norm < 1e-12:
-            raise ValueError("zero amplitude vector is not normalizable")
+            if not a.any():
+                raise ValueError("zero amplitude vector is not normalizable")
+            why = "underflows to 0.0" if norm == 0 else f"{norm!r} is below 1e-12"
+            raise ValueError(f"amplitude vector norm {why}, not normalizable")
         positive_finite("n0", self.n0)
         a = a / norm
         a.setflags(write=False)
@@ -350,7 +353,7 @@ _ANTISKYRMION_CARDINALS = (
     (np.array([-1.0, 0.0, 0.0]), "antiskyrmion_v"),
 )
 # how far off the torus family a state may lie and still get torus
-# angles, in the labels here and in the trajectory CSV
+# angles, in the labels here and in the bench sweep's frame table
 _TORUS_TOL = 1e-6
 # named points of the torus: (label, theta_p, phi_t)
 _TORUS_CARDINALS = (

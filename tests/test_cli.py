@@ -150,6 +150,44 @@ def test_state_file_with_nan_amplitude_exits_2(tmp_path, capsys):
     assert f"{path}: amplitude 2 is not finite: (nan+0j)" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n0,norm", [(1e150, "1.2909944487358058e+150"),
+                                     (1e160, "1.2909944487358058e+160")])
+def test_state_eval_norm_at_a_large_n0_is_finite(tmp_path, capsys, n0, norm):
+    # at 1e160 the squares of the norm overflow, so it is scaled by n0
+    path = tmp_path / "big.json"
+    ser.save_state(str(path), st.named_state("neel_out", n0=n0))
+    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    assert (code, err) == (0, "")
+    assert f'  "hypersphere_norm": {norm}\n' in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_eval_norm_that_overflows_at_any_scale_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    ser.save_state(str(path), st.named_state("neel_out", n0=1.5e308))
+    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: hypersphere norm overflows at n0 = 1.5e+308\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude,message", [
+    (1e308, "amplitude vector norm overflows"),
+    (1e-320, "amplitude vector norm underflows to 0.0, not normalizable"),
+    (1e-13, "amplitude vector norm 2.4494897427831783e-13 is below 1e-12, "
+            "not normalizable"),
+    (0.0, "zero amplitude vector is not normalizable"),
+])
+def test_state_file_without_a_usable_norm_exits_2_saying_why(tmp_path, capsys,
+                                                             amplitude, message):
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps({"alpha": [[amplitude, 0.0]] * 6, "n0": 1.0}))
+    code, out, err = run_cli(capsys, "state", "eval", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("content,message", [
     (b'{"alpha": 5}', "'alpha' must "),
     (b'{"alpha": [[1, 0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}', "'alpha' must "),
@@ -466,6 +504,8 @@ def test_a_run_out_of_memory_exits_2_with_an_error_line(monkeypatch, capsys,
     ("--grid", "1e3", "grid size must be an integer >= 16, got '1e3'"),
     ("--extent", "abc", "must be positive and finite, got 'abc'"),
     ("--tolerance", "x", "must be positive and finite, got 'x'"),
+    ("--seed", "-5", "seed must be a non-negative integer, got '-5'"),
+    ("--seed", "1.5", "seed must be a non-negative integer, got '1.5'"),
 ])
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, flag, value, message):
     code, _, err = run_cli(capsys, "field", "render", "--state", "neel_out",

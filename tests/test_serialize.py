@@ -13,11 +13,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import su6lab.algebra as alg
+import su6lab.cli as cli
 import su6lab.serialize as ser
 import su6lab.state as st
 
@@ -306,11 +307,26 @@ FRAMES = hs.one_of(
 @PROPERTY
 @given(hs.lists(hs.tuples(FLOATS, FRAMES), max_size=5), blocks())
 def test_trajectory_csv_matches_per_value_reference(rows, block):
+    # the sweep's one pass builds the table and the labels, the emitter
+    # only formats the table
     parameters = np.array([p for p, _ in rows])
     frames = [f for _, f in rows]
+    table, labels = cli._sweep_table(parameters, frames, 1.0)
+    assert labels == [st.classify_texture(f, tol_deg=1.0) for f in frames]
     with mock.patch.object(ser, "_BLOCK_CELLS", block):
-        assert (ser.trajectory_csv(parameters, frames)
-                == ref_trajectory_csv(parameters, frames))
+        assert ser.trajectory_csv(table) == ref_trajectory_csv(parameters, frames)
+
+
+@PROPERTY
+@given(hs.integers(0, 4).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, len(ser.TRAJECTORY_COLUMNS)), elements=FLOATS)), blocks())
+@example(np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, *[-0.0] * 6]]),
+         1)
+def test_trajectory_csv_formats_any_table(table, block):
+    lines = [",".join(ser.TRAJECTORY_COLUMNS)]
+    lines.extend(",".join(ref_format(v) for v in row) for row in table)
+    with mock.patch.object(ser, "_BLOCK_CELLS", block):
+        assert ser.trajectory_csv(table) == "\n".join(lines) + "\n"
 
 
 @PROPERTY
