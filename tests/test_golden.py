@@ -202,6 +202,78 @@ EXTRA_GOLDEN = {
 }
 
 
+# not criterion-10 recipes: the HWP1 sweep with its Stokes files, the area
+# profile of the bubble map, and a 181-frame HWP3 sweep (fig1 at step 1)
+# whose rows pin many sphere points and labels; the bench file is written
+# by the test and named by a relative token, which stdout echoes
+SWEEP_BENCH = "hwp3_181.bench"
+MORE_GOLDEN = {
+    "bench sweep --bench fig1 --element HWP1 --fields --grid 32": {
+        "<stdout>": "0c09d23035160f3503ea99c308ffa0de892ae48c09dd598f2871492a6f46637b",
+        "stokes_000.csv": "64eec450617d4c14e9660627a7af9223dc6f2eaf73ef02da11b954d3c0f71f46",
+        "stokes_000.csv.json": "c73ea98ccce749e7ac9c95b53ef9b15f2f3d193fd81153f404be3e69120f1f8e",
+        "stokes_001.csv": "6491296fb03654c54957cdb3fa6c87fda692ae4ffc831254a8c7a05564197f6d",
+        "stokes_001.csv.json": "d3825758331035a87bc818d771d1b1f3f697e6d7020b81c2eb12dd73e5a0a944",
+        "stokes_002.csv": "ca8856682af8fb3b7377ae9c9b437d1dd345ac3dcad3718378b4bb7b2745460e",
+        "stokes_002.csv.json": "8fa73e79b4ebc5dbf91c4db28af68d319edf9063d1692a431f705613b2bd694c",
+        "stokes_003.csv": "4978ab19987432d062eb3c2fc9ebda8153c1ba17965552d1c500e49d32bc7594",
+        "stokes_003.csv.json": "1f45e161d0f47f593526928a7a67a73ca3ba348a4e1ef3a28e64bb5b7103b08d",
+        "stokes_004.csv": "e11b645c293f3a73b5b71446fbfdfe1fffcd4b94187bae1dee8ab3cb532ea4a2",
+        "stokes_004.csv.json": "83409494c274c6abe9a6db1b72e523d3c41e2759f91b2d90056c7badcd6be110",
+        "stokes_005.csv": "21844b9222bbc0045112a560b0a0e6d6d0a60c25ef913141d8e718c62241065c",
+        "stokes_005.csv.json": "2240d261dac9c3bcac7e5a5067e674ac0fc71f6defb28188f6004f1cb7e56d24",
+        "stokes_006.csv": "f82252074a8618b1a3ec3a723d6c4c9b45da09ab546bc67083648b17123753c7",
+        "stokes_006.csv.json": "9f278ac61be59266d519fd53300dd9e537b71dcbad6d3d668de6d5c3570f9d41",
+        "stokes_007.csv": "1422e491848c74df5f46c7e11d9a8811016c256dc80e912eaa207b9bcfbfb2d2",
+        "stokes_007.csv.json": "0b7e12de6e915fc891da8edd59fdb8ec47cf0354ebb75f42db66c904ac81fa91",
+        "stokes_008.csv": "fd329799d34a85b5ca9a6682a0de468176326fe78473f9654b93ecb7c32ba9fe",
+        "stokes_008.csv.json": "5c21953185eebd5bea9b81d46f53a682686f8f02a3b322fe80ae39d8e7982643",
+        "stokes_009.csv": "75a42947512bc6a986c10bf9a8cfd9a2e00422dc5484503489dd604146221fa7",
+        "stokes_009.csv.json": "0f24ec73530a08c858d6199939add7d78a062b5e5c9bbc874192ae0b0e30c660",
+        "stokes_010.csv": "a9a6f353a5a49284f2ee4cb81aa0b5a200999572239d60478d10edd095ed27c7",
+        "stokes_010.csv.json": "565750b9471c91a2603f07306166db5051c3f11c291ed77cfe060426db795ebd",
+        "stokes_011.csv": "7dafcc91282da23492425b73f0ef78b87d63d0a6dbb91189861d20393b2820cc",
+        "stokes_011.csv.json": "240605670275140590b0fb7d96746a447c4c0b4d61cd1fe1e5701547cc0c2703",
+        "stokes_012.csv": "e5aa49d4a5d405f63936a01037b0941f535c9a8a10088f373c1cf45217d51b43",
+        "stokes_012.csv.json": "fe3147c53d47da7b0ebebbf1781e1586bb03e930e76ad0c2dde7267b4fac97bb",
+        "stokes_013.csv": "8dabe0e618c9c5fe20ef691228e14348b1a6c1a5e651d90f765ab6283664684b",
+        "stokes_013.csv.json": "95b4bba2f41a6b8d97a5a3c4cf81e1b609cb0f26e5372c45d7b212dd849dea8a",
+        "stokes_014.csv": "586bf036da1e5757ced576c9f72dcb52a0899545956e2f08dd9159b4d9ccb36f",
+        "stokes_014.csv.json": "f8fa88dc30c629f3e6708e81820b16633d557fb4c0c4b584c3cb25afcfc6eaff",
+        "stokes_015.csv": "e8ed8edc14e445e0486ab5a2d3a5f2fcc2344187c9ffa08ca819df860f808c0d",
+        "stokes_015.csv.json": "719aa45b206640109ca4f794df2d2b59e3514f749242de519d89efffc87a1bbb",
+        "stokes_016.csv": "f2202eaa5ee9961f6d4eb1f2aa7e3cc4fcc033c78e286cf7d5f496a7bc406b8f",
+        "stokes_016.csv.json": "08a907c22d711b95f47253ef7069a1e2062281facc6319ff1826c7b98bfa0609",
+        "stokes_017.csv": "37d3979ce6868d714e4452f650c097aed89089602a2654a680501f80c10431a4",
+        "stokes_017.csv.json": "7914d9d4785f9437aab9be60baed58624c4bc0954b1de730177cd4987fb1a3ba",
+        "stokes_018.csv": "1e805c1aef1d94c5a1cb094927e0df9766b2f492fcba23bfd8036feb90627fb5",
+        "stokes_018.csv.json": "a663057b6272e76b0e7837169a0ec1ae394df921c1b0aaf7c7a22088e7cfad50",
+        "trajectory.csv": "5ae26778545b657bb1edeca171963dfbc49044d61b4c67b15d347d722c1b2003",
+        "trajectory.csv.json": "be16118d5f7455ec2a2378ad97685fde4f8ff29defb5466744b28a60f0225bb5",
+    },
+    "field render --state bloch_left --grid 256 --bubble 32,64 --profile area": {
+        "<stdout>": "25e1aff9fafe123252c963afd090016caf1f3075c9026fb14f41329592c824f1",
+        "bubble.csv": "f291cd236370cbb526001a9b7a56214a5afeb5405ce2ad0b8a0661168570e170",
+        "bubble.csv.json": "1d2abce3af899ac5f2fe4df46f27643d1b64d489c390d9f99cfa955a84c3013c",
+        "s0.pgm": "715dac2102b7d08a33431b4e678b14b8fbef1a747fb632211aa8f33f58ac03be",
+        "s0.pgm.json": "23f64d9809b2f3f4a281bc7ddf48a8e24660625951d671328ef705080f32d531",
+        "s1.pgm": "d80ed11878b0f59ec204a05be258547cfb42c9bd1e215e7ba924aea646464329",
+        "s1.pgm.json": "6e53ffb35a2edb147252d354e4036fc93b9e86e5eab1a3c57615543649c825fe",
+        "s2.pgm": "e4c9bfc785c1db7801d59a7e22ba097fee84e5c0009de5ab82be2755d3ae66d8",
+        "s2.pgm.json": "0baaa3ee8aba20e4654d0966ea540bf3bef641f6d80a63a1119e0289c8d986b6",
+        "s3.pgm": "6fa7ee68941a1c9a3949bc8795be1de0d2e718cb9b9056c358606bb364a8087b",
+        "s3.pgm.json": "5a6a12903c7509b914d9c4f9e049f83b994ea9a6b6af8da653e5b0af286326f7",
+        "stokes.csv": "e0c9c866e5fe3eb7f5e4db20980f9cdcb7afc628a3fb2ccb9e7e4193fd5a0ddf",
+        "stokes.csv.json": "88554b01c8a12ef28c6d0dd8ec48f049114c073ff92224d31cbfac976aadac60",
+    },
+    f"bench sweep --bench {SWEEP_BENCH} --element HWP3": {
+        "<stdout>": "4becc2ee1b38c075d62d0509ada6fd35e674c3ee4263a9b96ede4a5199b57f66",
+        "trajectory.csv": "c5049400a82617ed4e3e94ed104b7d210a5a82601935ec64772b89f543e95b17",
+        "trajectory.csv.json": "d38b65c7e52408e53b772b42883a80193c9f2da554ee41ff62edada8f27bfaa9",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -240,6 +312,23 @@ def test_extra_outputs_match_golden_digests(recipe, tmp_path, capsys,
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         got[path.name] = _sha256(path.read_bytes())
     assert got == EXTRA_GOLDEN[recipe]
+
+
+@pytest.mark.parametrize("recipe", MORE_GOLDEN)
+def test_more_outputs_match_golden_digests(recipe, tmp_path, capsys,
+                                           monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    fig1 = shipped_bench_path("fig1").read_text()
+    (work / SWEEP_BENCH).write_text(
+        fig1.replace("to=180 step=10", "to=180 step=1"))
+    monkeypatch.chdir(work)
+    out = tmp_path / "out"
+    assert main([*recipe.split(), "--out", str(out)]) == 0
+    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    for path in sorted(out.iterdir()):
+        got[path.name] = _sha256(path.read_bytes())
+    assert got == MORE_GOLDEN[recipe]
 
 
 def test_recipes_match_golden_digests_with_scipy_blocked(tmp_path):
