@@ -7,7 +7,9 @@ always has length N0 * sqrt(5/3); two- and three-mode slices of it live on the
 named spheres (skyrmion, antiskyrmion, orbital chirality, polarization) and
 on the skyrmion torus handled here.  ``classify_texture`` names the
 texture family of a state from its point on the skyrmion and antiskyrmion
-spheres or on the torus.
+spheres or on the torus.  The four named spheres and the label read one
+contraction of the state with a stack of their twelve generators, kept for
+the last state asked.  States compare and hash by identity.
 """
 from __future__ import annotations
 
@@ -87,9 +89,10 @@ def _clamp(x: float) -> float:
     return min(max(x, -1.0), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherentState:
-    """Normalized six-mode amplitude vector with photon-number scale N0."""
+    """Normalized six-mode amplitude vector with photon-number scale N0.
+    States compare and hash by identity."""
 
     alpha: np.ndarray
     n0: float = 1.0
@@ -226,10 +229,9 @@ def _unit_coords(state: CoherentState, triple: np.ndarray) -> np.ndarray:
     return np.einsum("kij,i,j->k", triple, a.conj(), a).real
 
 
-def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> SpherePoint:
+def _triple_point(state: CoherentState, kind: str, unit: np.ndarray) -> SpherePoint:
     # the angles come from the N0 = 1 coordinates, so they do not depend on
     # N0 and the norm cannot overflow or underflow at an extreme N0
-    unit = _unit_coords(state, triple)
     coords = state.n0 * unit
     coords.setflags(write=False)
     r = _norm(unit)
@@ -242,16 +244,6 @@ def _triple_point(state: CoherentState, kind: str, triple: np.ndarray) -> Sphere
     return SpherePoint(kind, coords, theta, float(np.arctan2(unit[1], unit[0])), False)
 
 
-def skyrmion_sphere(state: CoherentState) -> SpherePoint:
-    """Expectations of the (3, 4) pair triple, the skyrmion-family sphere."""
-    return _triple_point(state, "skyrmion", algebra.skyrmion_generators())
-
-
-def antiskyrmion_sphere(state: CoherentState) -> SpherePoint:
-    """Expectations of the (3, 5) pair triple."""
-    return _triple_point(state, "antiskyrmion", algebra.antiskyrmion_generators())
-
-
 # the orbital triple is lambda_1..3 on (L, R) at either spin, the
 # polarization triple the Pauli matrices across the spins of each orbital mode
 _OAM_TRIPLE = algebra.pair_triple(1, 2) + algebra.pair_triple(4, 5)
@@ -259,18 +251,46 @@ _POL_TRIPLE = (algebra.pair_triple(1, 4) + algebra.pair_triple(2, 5)
                + algebra.pair_triple(3, 6))
 _OAM_TRIPLE.setflags(write=False)
 _POL_TRIPLE.setflags(write=False)
+# the four named spheres in one stack, rows 0:3 skyrmion (pair 3, 4), 3:6
+# antiskyrmion (pair 3, 5), 6:9 orbital and 9:12 polarization; each row of
+# the contraction sums over its own matrix only, so a row equals the one
+# its triple alone gives, bit for bit
+_NAMED = np.concatenate([algebra.skyrmion_generators(),
+                         algebra.antiskyrmion_generators(),
+                         _OAM_TRIPLE, _POL_TRIPLE])
+_NAMED.setflags(write=False)
+
+
+@lru_cache(maxsize=1)  # a frame asks for its four spheres and its label in turn
+def _named_coords(state: CoherentState) -> np.ndarray:
+    # read-only per-photon coordinates of the named spheres; states hash by
+    # identity and the entry holds its state, so a reused id() cannot match
+    # a stale entry
+    unit = _unit_coords(state, _NAMED)
+    unit.setflags(write=False)
+    return unit
+
+
+def skyrmion_sphere(state: CoherentState) -> SpherePoint:
+    """Expectations of the (3, 4) pair triple, the skyrmion-family sphere."""
+    return _triple_point(state, "skyrmion", _named_coords(state)[0:3])
+
+
+def antiskyrmion_sphere(state: CoherentState) -> SpherePoint:
+    """Expectations of the (3, 5) pair triple."""
+    return _triple_point(state, "antiskyrmion", _named_coords(state)[3:6])
 
 
 def oam_sphere(state: CoherentState) -> SpherePoint:
     """Orbital-chirality sphere: su(2) on the (L, R) pair for either spin,
     zero on the fundamental mode.  Opposite hedgehogs land on the same
     point here, which is the orbital degeneracy of the texture family."""
-    return _triple_point(state, "oam", _OAM_TRIPLE)
+    return _triple_point(state, "oam", _named_coords(state)[6:9])
 
 
 def polarization_sphere(state: CoherentState) -> SpherePoint:
     """Total polarization (Stokes) vector, traced over the orbital modes."""
-    return _triple_point(state, "polarization", _POL_TRIPLE)
+    return _triple_point(state, "polarization", _named_coords(state)[9:12])
 
 
 def su2_state(theta: float, phi: float, kind: str = "skyrmion",
@@ -393,11 +413,9 @@ def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
     if weights[0] + weights[1] + weights[5] > 1e-9:
         return "other"
     if weights[4] <= 1e-9:
-        return _pair_label(_unit_coords(state, algebra.skyrmion_generators()),
-                           _SKYRMION_CARDINALS, tol)
+        return _pair_label(_named_coords(state)[0:3], _SKYRMION_CARDINALS, tol)
     if weights[3] <= 1e-9:
-        return _pair_label(_unit_coords(state, algebra.antiskyrmion_generators()),
-                           _ANTISKYRMION_CARDINALS, tol)
+        return _pair_label(_named_coords(state)[3:6], _ANTISKYRMION_CARDINALS, tol)
     try:
         tp = state_to_torus(state, tol=_TORUS_TOL)
     except ValueError:
@@ -441,4 +459,5 @@ def enumerate_subspheres() -> tuple[Subsphere, ...]:
 def subsphere_point(state: CoherentState, pair: tuple[int, int]) -> SpherePoint:
     """Observable point on the two-mode sphere of the given state pair."""
     i, j = pair
-    return _triple_point(state, f"pair({i},{j})", algebra.pair_triple(i, j))
+    return _triple_point(state, f"pair({i},{j})",
+                         _unit_coords(state, algebra.pair_triple(i, j)))

@@ -626,6 +626,98 @@ def test_per_frame_geometry_equals_the_numpy_wrapper_formulas(adjoint, case, axi
     assert _bits(got) == _bits(want)
 
 
+# the row blocks of the named-sphere stack and the triple each one stands for
+NAMED_BLOCKS = ((slice(0, 3), alg.skyrmion_generators()),
+                (slice(3, 6), alg.antiskyrmion_generators()),
+                (slice(6, 9), st._OAM_TRIPLE), (slice(9, 12), st._POL_TRIPLE))
+NAMED_SPHERES = (st.skyrmion_sphere, st.antiskyrmion_sphere, st.oam_sphere,
+                 st.polarization_sphere)
+
+
+@PROPERTY
+@given(case=geometry_cases())
+def test_named_coords_rows_equal_each_triples_own_contraction(case):
+    amplitudes, n0 = case
+    s = st.CoherentState(amplitudes, n0=n0)
+    named = st._named_coords(s)
+    assert named.shape == (12,)
+    for rows, triple in NAMED_BLOCKS:
+        assert named[rows].tobytes() == st._unit_coords(s, triple).tobytes()
+
+
+def _named_reference(s):
+    """Each named sphere's coords, by its own triple, and the label."""
+    return ([_wrapper_point(s.alpha, s.n0, triple)[0].tobytes()
+             for _, triple in NAMED_BLOCKS], _wrapper_label(s))
+
+
+def _named_readings(s):
+    return ([sphere(s).coords.tobytes() for sphere in NAMED_SPHERES],
+            st.classify_texture(s))
+
+
+def test_interleaved_states_get_their_own_points_and_labels():
+    a = st.named_state("neel_out")
+    b = st.named_state("antiskyrmion_v", n0=2.0)
+    want = {id(s): _named_reference(s) for s in (a, b)}
+    assert want[id(a)][1] == "neel_out" and want[id(b)][1] == "antiskyrmion_v"
+    for s in (a, b, a, b, a):
+        assert _named_readings(s) == want[id(s)]
+
+
+def test_named_coords_are_read_only():
+    s = st.named_state("bloch_left")
+    named = st._named_coords(s)
+    assert not named.flags.writeable
+    with pytest.raises(ValueError):
+        named[0] = 0.0
+    assert not st.skyrmion_sphere(s).coords.flags.writeable
+
+
+def test_recreated_states_never_get_a_freed_states_coordinates():
+    # each state is dropped once the next one is asked for, so CPython
+    # hands its id() to a later state; the cache must not answer for it
+    rng = np.random.default_rng(RNG_SEED + 5)
+    ids = []
+    for k in range(300):
+        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        if k % 3 == 0:
+            a[5] = a[1] = a[0] = 0.0
+            a[4 - k % 2] = 0.0
+        s = st.CoherentState(a, n0=1.0 + k)
+        ids.append(id(s))
+        assert _named_readings(s) == _named_reference(s)
+        del s
+    assert len(set(ids)) < len(ids)
+
+
+def test_four_spheres_and_the_label_make_one_contraction(monkeypatch):
+    seen = []
+    unit_coords = st._unit_coords
+
+    def counted(state, triple):
+        seen.append(triple)
+        return unit_coords(state, triple)
+
+    monkeypatch.setattr(st, "_unit_coords", counted)
+    for name in ("neel_out", "antiskyrmion_h"):
+        s = st.named_state(name)
+        seen.clear()
+        for sphere in NAMED_SPHERES:
+            sphere(s)
+        assert st.classify_texture(s) == name
+        assert len(seen) == 1 and seen[0] is st._NAMED
+
+
+def test_states_compare_and_hash_by_identity():
+    a, b = st.named_state("neel_out"), st.named_state("neel_out")
+    assert a.alpha.tobytes() == b.alpha.tobytes() and a.n0 == b.n0
+    assert a != b and not a == b
+    assert a == a
+    keys = {a: "a", b: "b"}
+    assert len(keys) == 2 and keys[a] == "a" and keys[b] == "b"
+
+
 def test_subsphere_enumeration_partitions_all_pairs():
     subs = st.enumerate_subspheres()
     assert len(subs) == 15
