@@ -1046,6 +1046,100 @@ def test_sweep_frames_equal_single_runs(case, given_input, n0):
         assert [(f.alpha.tobytes(), f.n0) for f in res.frames] == want
 
 
+# fixed elements around a swept one, by section
+PLACEMENT_FIXED = {
+    "pre": (elem("QWP", angle=30.0, element_id="F1"),
+            elem("HWP", angle=12.5, element_id="F2")),
+    "A": (elem("MIRROR", element_id="F3"),
+          elem("VORTEX_LENS", chirality="L", element_id="F4")),
+    "B": (elem("QWP", angle=-20.0, element_id="F5"),
+          elem("PHASE", angle=40.0, element_id="F6")),
+}
+# (section of the swept element, its place there, split, reflect)
+PLACEMENTS = (
+    [("pre", i, split, "B") for split in (False, True) for i in range(3)]
+    + [(arm, i, True, reflect) for arm in "AB" for i in range(3) for reflect in "AB"]
+)
+
+
+def _placed_bench(kind, section, place, split, reflect, sweep):
+    parts = {key: list(fixed) if split or key == "pre" else []
+             for key, fixed in PLACEMENT_FIXED.items()}
+    parts[section].insert(place, elem(kind, angle=17.0, element_id="S"))
+    return op.BenchDescription("placed", "dipolar", pre=tuple(parts["pre"]),
+                               arm_a=tuple(parts["A"]), arm_b=tuple(parts["B"]),
+                               split=split, reflect=reflect, sweeps=(sweep,))
+
+
+@pytest.mark.parametrize("kind", ANGLE_KINDS)
+@pytest.mark.parametrize("section, place, split, reflect", PLACEMENTS)
+def test_sweep_frames_equal_single_runs_wherever_the_element_sits(
+        kind, section, place, split, reflect):
+    sweep = op.SweepSpec("S", -50.0, 130.0, 22.5)
+    bench = _placed_bench(kind, section, place, split, reflect, sweep)
+    rng = np.random.default_rng(11)
+    given_input = st.CoherentState(rng.normal(size=6) + 1j * rng.normal(size=6),
+                                   n0=2.5)
+    for input_state in (None, given_input):
+        want = [_outcome(lambda: op.run_bench(
+                    op.set_element_angle(bench, "S", float(v)), input_state))
+                for v in sweep.values]
+        res = op.run_sweep(bench, input_state=input_state)
+        assert [(f.alpha.tobytes(), f.n0) for f in res.frames] == want
+
+
+@pytest.mark.parametrize("section", ["pre", "A"])
+def test_a_dark_middle_frame_stops_the_sweep_there(monkeypatch, section):
+    # the fixed polarizer passes horizontal light only, so arm B is dark
+    # and the swept one, crossed at 90 degrees, puts out nothing
+    sweep = op.SweepSpec("S", 0.0, 180.0, 45.0)
+    fixed = elem("POLARIZER", angle=0.0, element_id="P")
+    swept = elem("POLARIZER", angle=0.0, element_id="S")
+    pre, arm_a = ((fixed, swept), ()) if section == "pre" else ((fixed,), (swept,))
+    bench = op.BenchDescription("dark", "dipolar", pre=pre, arm_a=arm_a,
+                                split=True, sweeps=(sweep,))
+    want = [_outcome(lambda: op.run_bench(op.set_element_angle(bench, "S", float(v))))
+            for v in sweep.values]
+    assert [w[0] for w in want].count(RuntimeError) == 1
+    assert want[2][0] is RuntimeError
+    built = []
+    row = op._KINDS["POLARIZER"]
+
+    def count(e, angle):
+        built.append((e.element_id, angle))
+        return row.operator(e, angle)
+
+    monkeypatch.setitem(op._KINDS, "POLARIZER", row._replace(operator=count))
+    with pytest.raises(RuntimeError) as err:
+        op.run_sweep(bench)
+    assert (RuntimeError, str(err.value)) == want[2]
+    # both polarizers once for the bench, then frames 0, 45 and the dark 90
+    assert built[2:] == [("S", 0.0), ("S", 45.0), ("S", 90.0)]
+
+
+@pytest.mark.parametrize("kind", ANGLE_KINDS)
+@pytest.mark.parametrize("section", ["pre", "A", "B"])
+def test_an_overflowing_last_frame_raises_run_benchs_error(kind, section):
+    # the span is within the whole-steps tolerance of two steps, so the
+    # sweep is accepted, but its last value rounds past the float range
+    top = np.finfo(float).max
+    step = np.nextafter(np.nextafter(top / 2, np.inf), np.inf)
+    sweep = op.SweepSpec("S", 0.0, top, step)
+    bench = _placed_bench(kind, section, 1, True, "B", sweep)
+    with np.errstate(over="ignore"):
+        values = sweep.values
+    assert np.isfinite(values[:-1]).all() and values[-1] == np.inf
+    want = [_outcome(lambda: op.run_bench(op.set_element_angle(bench, "S", float(v))))
+            for v in values]
+    assert want[-1] == (ValueError, "element angle must be finite, got inf")
+    assert all(w[0] not in (ValueError, RuntimeError) for w in want[:-1])
+    # the frame is refused before its operator is built: no cos(inf)
+    with np.errstate(over="ignore", invalid="raise"), \
+            pytest.raises(ValueError) as err:
+        op.run_sweep(bench)
+    assert (ValueError, str(err.value)) == want[-1]
+
+
 def test_sweep_errors_keep_their_text_and_order():
     plate = op.OpticalElement("HWP", 0.0, element_id="H")
     crossed = op.OpticalElement("POLARIZER", 90.0, element_id="P")
@@ -1095,13 +1189,16 @@ def test_lift_spin_equals_kron_byte_for_byte():
 def test_sweep_builds_each_fixed_operator_once(monkeypatch):
     bench = fig1_bench()
     built = []
-    element_operator = op.element_operator
 
-    def counting(e):
-        built.append(e.element_id)
-        return element_operator(e)
+    def counting(build):
+        def count(e, angle):
+            built.append(e.element_id)
+            return build(e, angle)
+        return count
 
-    monkeypatch.setattr(op, "element_operator", counting)
+    # every operator, fixed or per frame, is built through its kind's row
+    for kind, row in op._KINDS.items():
+        monkeypatch.setitem(op._KINDS, kind, row._replace(operator=counting(row.operator)))
     n = len(bench.all_elements())
     op.run_bench(bench)
     assert len(built) == n == 11
