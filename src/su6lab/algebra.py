@@ -18,16 +18,16 @@ adjoint matrices through (G_l)_mn = -g_lmn, which closes as
 
 That closure is measured from the nonzero products only: g has about 1k
 nonzero entries of 35^3, so each side has about 32k products where dense
-einsums form 157M multiply-adds.  Every output adds its products in
-sequence, in increasing contraction index, which is the order einsum sums
-them in; a zero product changes no value, so the sums equal the dense
-ones bit for bit.  No 35^4 array is held: lhs * rhs and rhs * rhs, the
-products that fit c, are summed with the pairwise splits np.sum takes over
-a contiguous 35^4 array, so c is the same float.
+einsums form 157M multiply-adds.  np.bincount adds each output's products
+in sequence, in increasing contraction index, which is the order einsum
+sums them in; a zero product changes no value, so the sums equal the
+dense ones bit for bit.  No 35^4 array is held: lhs * rhs and rhs * rhs,
+the products that fit c, are summed with the pairwise splits np.sum
+takes over a contiguous 35^4 array, so c is the same float.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -150,11 +150,9 @@ def _structure_tensor(mats: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.max(np.abs(comm - recon)))
 
 
-# products per pass of _adjoint_sides, unless one block of outputs has
-# more; the su(6) closure's traced peak is 2.9 MiB (5.0 at 1 << 16)
+# products per pass of _adjoint_sides, unless one block of outputs has more;
+# the su(6) closure takes 6 passes and a traced peak of 2.9 MiB (5.4 at 1 << 16)
 _PASS = 1 << 14
-# positions a pass may span: the length of its position -> slot map (512 KiB)
-_WINDOW = 1 << 16
 # entries per block that _dense_sum hands to np.sum whole
 _BLOCK = 1 << 16
 
@@ -171,12 +169,12 @@ def _adjoint_sides(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum_b G[l, a, b] G[m, b, c], W[l, m, a, c] = sum_b G[m, a, b]
     G[l, b, c], and rhs[l, m, a, c] = sum_n g[l, m, n] G[n, a, c].
 
-    A pass takes whole blocks (l, m) of outputs, about _PASS products and
-    at most _WINDOW positions.  Each product pairs a leading entry, of
-    G[l] (T, W) or of g[l, m] (rhs), with one of a run of partner entries,
-    and each output adds its products one after another in increasing b
-    or n, starting from 0, as einsum does.  The pass's positions are
-    sorted once and mapped to their slots."""
+    A pass takes whole blocks (l, m) of outputs, about _PASS products.
+    Each product pairs a leading entry, of G[l] (T, W) or of g[l, m]
+    (rhs), with one of a run of partner entries, so an output meets its
+    products in increasing b or n.  np.unique gives the pass's sorted
+    positions and each product's slot, and np.bincount adds a side's
+    products at their slots in that order from 0, as einsum does."""
     k = len(g)
     G = -g
     e0, e1, e2 = np.nonzero(G != 0)            # in (e0, e1, e2) order
@@ -193,12 +191,10 @@ def _adjoint_sides(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count = np.diff(row)
     t = np.bincount(e0 * k + e2, minlength=k * k).reshape(k, k) @ count.reshape(k, k).T
     size = (t + t.T).ravel() + np.bincount(e0 * k + e1, count.reshape(k, k).sum(1)[e2], k * k)
-    span = min(k * k, max(1, _WINDOW // (k * k or 1)))   # blocks per pass at most
-    cut = np.diff((np.cumsum(size) - size) // _PASS) + np.diff(np.arange(k * k) // span)
-    slot = np.empty(span * k * k, np.intp)
+    cut = np.diff((np.cumsum(size) - size) // _PASS)
     out = [(np.zeros(0, np.int64), np.zeros((2, 0)))]   # so a g with no blocks concatenates
     for block in filter(len, np.split(np.arange(k * k), np.flatnonzero(cut) + 1)):
-        (l0, m0), (l1, m1), base = divmod(block[0], k), divmod(block[-1], k), block[0] * k * k
+        (l0, m0), (l1, m1) = divmod(block[0], k), divmod(block[-1], k)
         i = np.arange(row[l0 * k], row[l1 * k + k])        # the entries of G[l0] to G[l1]
         lo, hi = np.where(e0[i] == l0, m0, 0), np.where(e0[i] == l1, m1 + 1, k)
         j = np.arange(row[block[0]], row[block[-1] + 1])   # and of g[l0, m0] to g[l1, m1]
@@ -206,16 +202,12 @@ def _adjoint_sides(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 (i, first[1][e1[i] * k + lo], first[1][e1[i] * k + hi]),
                 (j, row[e2[j] * k], row[e2[j] * k + k])]
         pairs = [(np.repeat(d, end - f), _runs(f, end - f)) for d, f, end in runs]
-        at = [d_at[ia] + p_at[ib] - base for (d_at, p_at, _, _), (ia, ib) in zip(kinds, pairs)]
-        every = np.concatenate(at)
-        slot[every] = np.arange(len(every))    # the last product at a position wins
-        pos = np.sort(every[slot[every] == np.arange(len(every))])
-        slot[pos] = np.arange(len(pos))
-        sums = np.zeros((3, len(pos)))
-        for total, a, (_, _, dv, pv), (ia, ib) in zip(sums, at, kinds, pairs):
-            np.add.at(total, slot[a], dv[ia] * pv[ib])
-        np.subtract(sums[0], sums[1], out=sums[1])
-        out.append((pos + base, sums[1:].copy()))
+        at = [d_at[ia] + p_at[ib] for (d_at, p_at, _, _), (ia, ib) in zip(kinds, pairs)]
+        pos, slot = np.unique(np.concatenate(at), return_inverse=True)
+        slots = np.split(slot, np.cumsum([len(a) for a in at[:-1]]))
+        t, w, r = (np.bincount(s, dv[ia] * pv[ib], len(pos))
+                   for s, (_, _, dv, pv), (ia, ib) in zip(slots, kinds, pairs))
+        out.append((pos, np.stack([t - w, r])))
     return np.concatenate([p for p, _ in out]), np.concatenate([s for _, s in out], axis=1)
 
 
@@ -359,7 +351,11 @@ def adjoint_matrices(g: np.ndarray) -> AdjointRep:
 
     g is refused when either adjoint row of ``invariant_residuals``,
     |c - 1| or max|lhs - rhs|, exceeds its bound, so this guard and
-    ``algebra verify`` judge g by the same numbers."""
+    ``algebra verify`` judge g by the same numbers; a g that is not a
+    real (k, k, k) array is refused first."""
+    g = np.asarray(g)
+    if g.dtype.kind == "c" or g.ndim != 3 or len(set(g.shape)) != 1:
+        raise ValueError(f"g must be a real (k, k, k) array, got {g.dtype} of shape {g.shape}")
     g = np.asarray(g, dtype=float)
     c, rows = _adjoint_closure(g)
     if not np.isfinite(c):
@@ -408,10 +404,13 @@ def antiskyrmion_generators() -> np.ndarray:
     return pair_triple(3, 5)
 
 
-def _exp_hermitian(h: np.ndarray, t: complex) -> np.ndarray:
-    """exp(t * h) for a Hermitian h, from its eigendecomposition."""
+def _exp_hermitian(h: np.ndarray, angle: float, scale: complex) -> np.ndarray:
+    """exp(scale * angle * h) for a Hermitian h, from its eigendecomposition;
+    an angle that is not finite is refused."""
+    if not np.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(t * w)) @ v.conj().T
+    return (v * np.exp(scale * angle * w)) @ v.conj().T
 
 
 def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
@@ -422,7 +421,7 @@ def exp_generator(generator: np.ndarray, angle: float) -> np.ndarray:
     """
     generator = np.asarray(generator, dtype=complex)
     _check_hermitian(generator, "generator")
-    return _exp_hermitian(generator, -0.5j * angle)
+    return _exp_hermitian(generator, angle, -0.5j)
 
 
 def exp_adjoint(adjoint: AdjointRep, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -432,10 +431,10 @@ def exp_adjoint(adjoint: AdjointRep, axis: np.ndarray, angle: float) -> np.ndarr
     mats = adjoint.matrices
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (mats.shape[0],):
-        raise ValueError(
-            f"axis must have {mats.shape[0]} components, got {axis.shape}"
-        )
+        raise ValueError(f"axis must have {mats.shape[0]} components, got {axis.shape}")
+    if not np.isfinite(axis).all():
+        raise ValueError(f"rotation axis must be finite, got {axis[~np.isfinite(axis)][0]}")
     if np.linalg.norm(axis) < 1e-12:
         raise ValueError("rotation axis is the zero vector")
     gen = np.einsum("l,lmn->mn", axis, mats)
-    return _exp_hermitian(1j * gen, -1j * angle).real
+    return _exp_hermitian(1j * gen, angle, -1j).real

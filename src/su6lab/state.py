@@ -181,7 +181,7 @@ def all_expectations(state: CoherentState,
 def _check_unitary(u: np.ndarray) -> None:
     """Refuse a complex 6x6 matrix whose U^dag U is off the identity by
     more than 1e-10 in any entry."""
-    if np.max(np.abs(u.conj().T @ u - np.eye(6))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-10:  # NaN fails too
         raise ValueError("matrix is not unitary")
 
 

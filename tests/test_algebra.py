@@ -226,6 +226,30 @@ def test_exp_adjoint_rejects_zero_axis():
         alg.exp_adjoint(adj, np.zeros(35), 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_exponentials_refuse_an_angle_that_is_not_finite(angle):
+    adj = alg.adjoint_matrices(alg.structure_constants())
+    message = f"rotation angle must be finite, got {angle}"
+    with pytest.raises(ValueError) as err:
+        alg.exp_generator(alg.su6_basis().matrices[4], angle)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        alg.exp_adjoint(adj, np.ones(35), angle)
+    assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_exp_adjoint_refuses_an_axis_that_is_not_finite(bad):
+    adj = alg.adjoint_matrices(alg.structure_constants())
+    axis = np.ones(35)
+    axis[7] = bad
+    with pytest.raises(ValueError) as err:
+        alg.exp_adjoint(adj, axis, 0.3)
+    assert str(err.value) == f"rotation axis must be finite, got {bad}"
+
+
 def test_skyrmion_generators_match_frozen():
     trip = alg.skyrmion_generators()
     assert trip.shape == (3, 6, 6)
@@ -310,6 +334,28 @@ def test_adjoint_matrices_reject_zero_or_nonfinite_constants():
     for g in (np.zeros((35, 35, 35)), np.full((35, 35, 35), np.nan)):
         with pytest.raises(ValueError, match="zero or not finite"):
             alg.adjoint_matrices(g)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, got", [
+    (lambda g: g + 1j * g, "complex128 of shape (35, 35, 35)"),
+    (lambda g: g[0], "float64 of shape (35, 35)"),
+    (lambda g: g[:3, :4, :5], "float64 of shape (3, 4, 5)"),
+], ids=["complex", "35x35", "3x4x5"])
+def test_adjoint_matrices_refuse_a_g_that_is_not_a_real_cube(monkeypatch, make, got):
+    # refused by name before the closure runs: no ComplexWarning, no unpacking error
+    g = make(alg.structure_constants())
+    monkeypatch.setattr(alg, "_adjoint_closure", None)
+    with pytest.raises(ValueError) as err:
+        alg.adjoint_matrices(g)
+    assert str(err.value) == f"g must be a real (k, k, k) array, got {got}"
+
+
+def test_adjoint_matrices_take_nested_lists_of_reals():
+    g = alg.structure_constants()
+    adj, listed = alg.adjoint_matrices(g), alg.adjoint_matrices(g.tolist())
+    assert listed.matrices.tobytes() == adj.matrices.tobytes()
+    assert listed.closure_constant.hex() == adj.closure_constant.hex()
 
 
 def _adjoint_rows_from_full_tensors(g):
@@ -527,14 +573,20 @@ def test_sparse_closure_memory_is_the_positions_and_one_pass(monkeypatch):
     assert peak <= 64 * k ** 4 + 128 * 3 * k ** 3
 
 
-def test_sparse_closure_matches_einsum_in_narrow_windows(monkeypatch):
-    # passes span at most four blocks of outputs
-    monkeypatch.setattr(alg, "_WINDOW", 4 * 35 * 35)
+@pytest.mark.parametrize("pass_size", [1, 1000, alg._PASS, 2 ** 40],
+                         ids=["one-block", "1000", "default", "one-pass"])
+def test_adjoint_sides_do_not_depend_on_the_pass_size(monkeypatch, pass_size):
+    # a pass of every block (2 ** 40) down to one block a pass (1): the same
+    # positions and the same bits of both rows
     g = alg.structure_constants()
-    _assert_closure_matches_einsum(g)
     rng = np.random.default_rng(4)
-    _assert_closure_matches_einsum(
-        np.where(rng.random(g.shape) < 0.04, rng.standard_normal(g.shape), 0.0))
+    sparse = np.where(rng.random(g.shape) < 0.04, rng.standard_normal(g.shape), 0.0)
+    want = [alg._adjoint_sides(t) for t in (g, sparse)]
+    monkeypatch.setattr(alg, "_PASS", pass_size)
+    for t, (pos, sides) in zip((g, sparse), want):
+        got_pos, got_sides = alg._adjoint_sides(t)
+        assert got_pos.dtype == pos.dtype and got_pos.tobytes() == pos.tobytes()
+        assert got_sides.shape == sides.shape and got_sides.tobytes() == sides.tobytes()
 
 
 def _assert_dense_sum_is_np_sum(pos, vals, n):

@@ -278,25 +278,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run_digests(args, out, capsys) -> dict[str, str]:
+    """Run ``main`` with ``--out out`` and hash its stdout and every file
+    it wrote there."""
+    assert main([*args, "--out", str(out)]) == 0
+    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        got[path.name] = _sha256(path.read_bytes())
+    return got
+
+
 def test_golden_table_covers_every_recipe():
     assert sorted(GOLDEN) == sorted(" ".join(r) for r in RECIPES)
 
 
 @pytest.mark.parametrize("recipe", RECIPES, ids=" ".join)
 def test_recipe_outputs_match_golden_digests(recipe, tmp_path, capsys):
-    assert main([*recipe, "--out", str(tmp_path)]) == 0
-    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
-    for path in sorted(tmp_path.iterdir()):
-        got[path.name] = _sha256(path.read_bytes())
-    assert got == GOLDEN[" ".join(recipe)]
+    assert _run_digests(recipe, tmp_path, capsys) == GOLDEN[" ".join(recipe)]
 
 
 def test_continued_texture_render_matches_golden_digests(tmp_path, capsys):
-    assert main([*EXTENT_RECIPE, "--out", str(tmp_path)]) == 0
-    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
-    for path in sorted(tmp_path.iterdir()):
-        got[path.name] = _sha256(path.read_bytes())
-    assert got == EXTENT_GOLDEN
+    assert _run_digests(EXTENT_RECIPE, tmp_path, capsys) == EXTENT_GOLDEN
 
 
 @pytest.mark.parametrize("recipe", EXTRA_GOLDEN)
@@ -306,11 +308,7 @@ def test_extra_outputs_match_golden_digests(recipe, tmp_path, capsys,
     work.mkdir()
     save_state(str(work / STATE_FILE), st.named_state("bloch_left", n0=3.0))
     monkeypatch.chdir(work)
-    out = tmp_path / "out"
-    assert main([*recipe.split(), "--out", str(out)]) == 0
-    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
-    for path in sorted(out.iterdir()) if out.is_dir() else ():
-        got[path.name] = _sha256(path.read_bytes())
+    got = _run_digests(recipe.split(), tmp_path / "out", capsys)
     assert got == EXTRA_GOLDEN[recipe]
 
 
@@ -323,11 +321,7 @@ def test_more_outputs_match_golden_digests(recipe, tmp_path, capsys,
     (work / SWEEP_BENCH).write_text(
         fig1.replace("to=180 step=10", "to=180 step=1"))
     monkeypatch.chdir(work)
-    out = tmp_path / "out"
-    assert main([*recipe.split(), "--out", str(out)]) == 0
-    got = {"<stdout>": _sha256(capsys.readouterr().out.encode("utf-8"))}
-    for path in sorted(out.iterdir()):
-        got[path.name] = _sha256(path.read_bytes())
+    got = _run_digests(recipe.split(), tmp_path / "out", capsys)
     assert got == MORE_GOLDEN[recipe]
 
 

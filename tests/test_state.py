@@ -335,6 +335,14 @@ def test_apply_unitary_checks_unitarity():
         st.apply_unitary(s, np.diag([1.0, 1, 1, 1, 1, 0.5]).astype(complex))
 
 
+@pytest.mark.filterwarnings("error")
+def test_apply_unitary_refuses_a_nan_matrix_as_not_unitary():
+    # a NaN residual fails the check, before the state sees NaN amplitudes
+    with pytest.raises(ValueError) as err:
+        st.apply_unitary(st.named_state("neel_out"), np.full((6, 6), np.nan))
+    assert str(err.value) == "matrix is not unitary"
+
+
 def test_double_cover_flips_amplitude_sign():
     s = st.named_state("neel_out")
     u = alg.exp_generator(alg.skyrmion_generators()[1], 2 * np.pi)
@@ -515,6 +523,15 @@ def test_a_unitary_that_is_not_is_refused_once_per_transport(monkeypatch, adjoin
                                    alg.su6_basis(), adjoint)
     assert str(err.value) == "matrix is not unitary"
     assert st._transports.cache_info().currsize == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("angle", [np.inf, np.nan])
+def test_correspondence_residual_blames_the_angle_not_the_state(adjoint, angle):
+    with pytest.raises(ValueError) as err:
+        st.correspondence_residual(st.named_state("dipolar"), np.ones(35), angle,
+                                   alg.su6_basis(), adjoint)
+    assert str(err.value) == f"rotation angle must be finite, got {angle}"
 
 
 # the per-frame geometry by numpy's wrapper functions: np.linalg.norm for
