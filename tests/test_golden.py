@@ -26,7 +26,8 @@ import pytest
 from su6lab import field as fd
 from su6lab import state as st
 from su6lab.cli import main
-from su6lab.optics import parse_bench, shipped_bench_path
+from su6lab.optics import (BenchParseError, parse_bench, run_bench, run_sweep,
+                           shipped_bench_path)
 from su6lab.serialize import save_state
 from test_acceptance import RECIPES
 
@@ -426,6 +427,65 @@ def test_parser_outcomes_on_mutated_benches_match_golden_digest():
         digest.update(repr(_parse_outcome(_mutated_bench(rng))).encode() + b"\n")
     assert digest.hexdigest() == (
         "a7e9b0d849f7d8d3d25f166b7aa25a5fa71d45b0400f8df1626023b1a1fa7d8c")
+
+
+# --------------------------------------------------------- bench propagation
+
+# benches the mutated corpus does not reach: reflect=A with a sweep over an
+# element of each section, and a dark frame in a pre sweep and an arm sweep
+_FIG1 = shipped_bench_path("fig1").read_text()
+_RUN_BENCHES = (
+    _FIG1.replace("reflect=B", "reflect=A")
+    + "sweep element=QWP4 from=0 to=90 step=15\n"
+    + "sweep element=PH1 from=-90 to=90 step=30\n",
+    'bench "dark pre"\ninput state=h_gaussian\n'
+    "pre: QWP angle=0 / POLARIZER angle=0 id=P\n"
+    "sweep element=P from=0 to=90 step=45\n",
+    'bench "dark arm"\ninput state=dipolar\npre: HWP angle=10\nsplit PBS\n'
+    "arm A: POLARIZER angle=90\narm B: QWP angle=0 / POLARIZER angle=0 id=P\n"
+    "combine NPBS reflect=A\nsweep element=P from=60 to=0 step=-20\n",
+)
+
+
+def _run_outcomes(bench, put):
+    """The camera state of run_bench and of every frame of each declared
+    sweep, or the text each run is refused with, through put."""
+    # a bench whose input is not a named state runs on a fixed state
+    given = (None if bench.input_state in st.state_names()
+             else st.named_state("dipolar", n0=2.5))
+    runs = [lambda: [run_bench(bench, given)]]
+    runs += [lambda eid=sw.element_id: run_sweep(bench, eid, given).frames
+             for sw in bench.sweeps]
+    for run in runs:
+        try:
+            states = run()
+        except (ValueError, RuntimeError) as err:
+            put(f"{type(err).__name__}: {err}".encode())
+        else:
+            for s in states:
+                put(s.alpha.tobytes() + float(s.n0).hex().encode())
+
+
+def test_bench_runs_match_golden_digest():
+    # pins run_bench and every sweep frame, bit for bit, of the shipped
+    # benches, the benches above and the mutated benches that parse
+    rng = random.Random(16)
+    texts = [shipped_bench_path(name).read_text() for name in ("fig1", "antiskyrmion")]
+    texts += [*_RUN_BENCHES, *(_mutated_bench(rng) for _ in range(2000))]
+    digest = hashlib.sha256()
+
+    def put(data):
+        digest.update(data + b"\n")
+
+    for text in texts:
+        try:
+            bench = parse_bench(text)
+        except BenchParseError:
+            continue
+        put(repr(bench).encode())
+        _run_outcomes(bench, put)
+    assert digest.hexdigest() == (
+        "c09c0e9749cb39e11cf7c20e41be93e9f0a286b16dfc9f32a91fc29f078b089d")
 
 
 # ----------------------------------------------------------- texture corpus
