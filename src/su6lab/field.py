@@ -593,18 +593,10 @@ def _closed_texture(sf: StokesField, disk_radius: float) -> TopologicalCharge:
     )
 
 
-def _radius(value) -> float:
-    """A disk radius as a float, refused unless the value given is a
-    positive finite real number; a bool is not one, though math.isfinite
-    takes it."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"disk radius must be a real number, got {value!r}")
-    return float(positive_finite("disk radius", value))
-
-
 def _disk_radius(grid: TransverseGrid, radius: float | None) -> float:
     """The disk radius (default: the extent), positive, finite and within the grid."""
-    r = float(grid.extent) if radius is None else _radius(radius)
+    r = float(grid.extent if radius is None
+              else positive_finite("disk radius", radius))
     if r > grid.extent + 1e-12:
         raise ValueError(f"disk radius {r} exceeds the grid extent {grid.extent}")
     return r
@@ -642,8 +634,8 @@ def skyrmion_number_solid_angle(
 
 def radial_to_polar(r, disk_radius: float, profile: str = "linear"):
     """Map disk radius to sphere polar angle; 'linear' or 'area'."""
-    x = np.asarray(r, dtype=float) / _radius(disk_radius)
-    x = np.clip(x, 0.0, 1.0)
+    radius = float(positive_finite("disk radius", disk_radius))
+    x = np.clip(np.asarray(r, dtype=float) / radius, 0.0, 1.0)
     if profile == "linear":
         theta = np.pi * x
     elif profile == "area":

@@ -51,9 +51,15 @@ A sweep names an element with an angle (HWP, QWP, POLARIZER or PHASE)
 and steps a whole number of times, at most MAX_SWEEP_FRAMES frames, from
 ``from`` to ``to``.  Its ``record=`` is a comma list of RECORD_NAMES,
 validated and echoed into the trajectory sidecar; it selects no output
-(``bench sweep --fields`` writes the field frames).  A sweep runs the
-bench up to the swept element once, builds each fixed element operator
-once, and per frame applies only the swept operator and what follows it.
+(``bench sweep --fields`` writes the field frames).
+
+``run_bench`` and every sweep frame walk the bench as operator paths in
+beam order: ``pre`` and, behind a split, each arm from the PBS to the
+NPBS (its projector, its elements, and last on the reflected arm the
+mirror flip); the two arm beams add as (A + B) / sqrt(2).  A sweep walks
+the paths up to the swept element once, builds each fixed element
+operator once, and per frame applies only the swept operator and what
+follows it.
 
 ``OpticalElement``, ``SweepSpec`` and ``BenchDescription`` refuse values
 that break these rules (numbers that are not real and finite, an angle,
@@ -394,24 +400,18 @@ def element_operator(element: OpticalElement) -> np.ndarray:
 # ----------------------------------------------------------------- parsing
 
 
+# a line up to its first unquoted '#', and one statement of it: a run up
+# to an unquoted ';'.  An open quote runs to the end of the line.
+_LINE = re.compile(r'(?:"[^"]*"?|[^"#]+)*')
+_STATEMENT = re.compile(r'(?:"[^"]*"?|[^";]+)+')
+
+
 def _statements(text: str) -> list[tuple[int, str]]:
     """(line, statement) pairs: each line is split at an unquoted ';' and
     ends at an unquoted '#'."""
-    out = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        pieces, start, quoted = [], 0, False
-        for i, ch in enumerate(raw):
-            if ch == '"':
-                quoted = not quoted
-            elif ch in ";#" and not quoted:
-                pieces.append(raw[start:i])
-                start = i + 1
-                if ch == "#":
-                    break
-        else:
-            pieces.append(raw[start:])
-        out.extend((ln, p.strip()) for p in pieces if p.strip())
-    return out
+    return [(ln, stmt) for ln, raw in enumerate(text.splitlines(), 1)
+            for stmt in map(str.strip, _STATEMENT.findall(_LINE.match(raw)[0]))
+            if stmt]
 
 
 def _parse_number(value: str, what: str) -> float:
@@ -645,9 +645,18 @@ def _input_state(bench: BenchDescription,
 
 
 def _operators(bench: BenchDescription) -> list[list[np.ndarray]]:
-    """Element operators of the bench as [pre, arm A, arm B], in bench order."""
-    return [[element_operator(e) for e in elems]
-            for elems in (bench.pre, bench.arm_a, bench.arm_b)]
+    """The bench as operator paths in beam order (see the module
+    docstring); an arm element sits one index later in its path, behind the
+    PBS projector."""
+    paths = [[element_operator(e) for e in bench.pre]]
+    if bench.split:
+        for arm, projector, elems in (("A", _PROJ_H6, bench.arm_a),
+                                      ("B", _PROJ_V6, bench.arm_b)):
+            path = [projector, *(element_operator(e) for e in elems)]
+            if arm == bench.reflect:
+                path.append(_MIRROR6)
+            paths.append(path)
+    return paths
 
 
 def _apply(ops: list[np.ndarray], a: np.ndarray) -> np.ndarray:
@@ -657,20 +666,13 @@ def _apply(ops: list[np.ndarray], a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _combine(reflect: str, arm_a: np.ndarray, arm_b: np.ndarray) -> np.ndarray:
-    """The NPBS output: the reflected arm picks up a mirror flip."""
-    if reflect == "A":
-        arm_a = _MIRROR6 @ arm_a
-    else:
-        arm_b = _MIRROR6 @ arm_b
-    return (arm_a + arm_b) / R2
-
-
-def _through_arms(bench: BenchDescription, ops: list[list[np.ndarray]],
-                  a: np.ndarray) -> np.ndarray:
-    """The beam a, leaving pre, split, sent down both arms and combined."""
-    return _combine(bench.reflect, _apply(ops[1], _PROJ_H6 @ a),
-                    _apply(ops[2], _PROJ_V6 @ a))
+def _walk(paths: list[list[np.ndarray]], a: np.ndarray) -> np.ndarray:
+    """The beam a walked down the paths: the first, then each arm behind
+    it, the two arms adding at the NPBS."""
+    a = _apply(paths[0], a)
+    if len(paths) == 1:
+        return a
+    return (_apply(paths[1], a) + _apply(paths[2], a)) / R2
 
 
 def _camera(a: np.ndarray, n0: float) -> CoherentState:
@@ -683,16 +685,6 @@ def _camera(a: np.ndarray, n0: float) -> CoherentState:
     return CoherentState(a, n0=n0)
 
 
-def _propagate(
-    bench: BenchDescription, ops: list[list[np.ndarray]], input_state: CoherentState
-) -> CoherentState:
-    """Apply prebuilt operators to the input; see run_bench."""
-    a = _apply(ops[0], input_state.alpha.astype(complex))
-    if bench.split:
-        a = _through_arms(bench, ops, a)
-    return _camera(a, input_state.n0)
-
-
 def run_bench(
     bench: BenchDescription, input_state: CoherentState | None = None
 ) -> CoherentState:
@@ -700,11 +692,11 @@ def run_bench(
 
     The input is ``input_state``, or else the bench's named input state.
     The PBS sends the horizontal component into arm A and the vertical
-    component into arm B; at the NPBS the reflected arm picks up one
-    mirror flip before the two amplitudes add.
+    component into arm B; the reflected arm ends with a mirror flip.
     """
     input_state = _input_state(bench, input_state)
-    return _propagate(bench, _operators(bench), input_state)
+    return _camera(_walk(_operators(bench), input_state.alpha.astype(complex)),
+                   input_state.n0)
 
 
 def set_element_angle(
@@ -732,12 +724,13 @@ def run_sweep(
     ``sweep`` selects among the bench's declared sweeps by element id;
     None takes the first declared sweep, and the input is as in run_bench.
     Each frame equals run_bench on set_element_angle(bench, id, value),
-    bit for bit, with its error text when a frame goes dark.  The beam up
-    to the swept element (and the other arm, when it sits in an arm) is
-    the same on every frame and is found once; a frame builds only the
-    swept operator, from its ``_KINDS`` row, and applies it and the rest
-    of the bench.  Each angle is refused unless finite, as OpticalElement
-    refuses it; the rest of the swept element is trusted as built.
+    bit for bit, with its error text when a frame goes dark.  The beam
+    along the paths up to the swept element (and the other arm's beam, when
+    it sits in an arm) is the same on every frame and is found once; a
+    frame builds only the swept operator, from its ``_KINDS`` row, and
+    walks it and the rest of the bench.  Each angle is refused unless
+    finite, as OpticalElement refuses it; the rest of the swept element is
+    trusted as built.
     """
     specs = [s for s in bench.sweeps if sweep is None or s.element_id == sweep]
     if not specs:
@@ -750,34 +743,28 @@ def run_sweep(
         )
     spec = specs[0]
     input_state = _input_state(bench, input_state)
-    ops = _operators(bench)
+    paths = _operators(bench)
     # BenchDescription holds exactly one element with the swept id; the
     # beam up to it is the same on every frame, so it is found once
-    section, i, e = next(
-        (section, i, e)
-        for section, elems in enumerate((bench.pre, bench.arm_a, bench.arm_b))
+    k, i, e = next(
+        (k, i + (k > 0), e)  # an arm path starts with its projector
+        for k, elems in enumerate((bench.pre, bench.arm_a, bench.arm_b))
         for i, e in enumerate(elems) if e.element_id == spec.element_id)
     a = input_state.alpha.astype(complex)
-    if section == 0:
-        head = _apply(ops[0][:i], a)
-
-        def finish(x):
-            return _through_arms(bench, ops, x) if bench.split else x
-    else:
-        a = _apply(ops[0], a)
-        arms = (_PROJ_H6 @ a, _PROJ_V6 @ a)
-        k = section - 1  # the swept arm; the other one runs whole, once
-        head = _apply(ops[section][:i], arms[k])
-        other = _apply(ops[2 - k], arms[1 - k])
-
-        def finish(x):
-            return _combine(bench.reflect, *((x, other) if k == 0 else (other, x)))
-    rest, build, n0 = ops[section][i + 1:], _KINDS[e.kind].operator, input_state.n0
-    values = spec.values
+    if k:  # the beam leaving pre and the arm not swept are found once
+        a = _apply(paths[0], a)
+        other = _apply(paths[3 - k], a)
+    head = _apply(paths[k][:i], a)
+    paths[k] = paths[k][i + 1:]  # the rest of the swept path, walked per frame
+    build, n0, values = _KINDS[e.kind].operator, input_state.n0, spec.values
 
     def frame(v):
-        m = build(e, _finite("element angle", float(v)))
-        return _camera(finish(_apply(rest, m @ head)), n0)
+        x = build(e, _finite("element angle", float(v))) @ head
+        if k == 0:  # the rest of pre and the arms behind it
+            return _camera(_walk(paths, x), n0)
+        x = _apply(paths[k], x)
+        arm_a, arm_b = (x, other) if k == 1 else (other, x)
+        return _camera((arm_a + arm_b) / R2, n0)
 
     # a list, not a generator: tuple() of a generator grows its tuple by
     # resizing, and a run of short sweeps then piles freed frame tuples on

@@ -68,11 +68,14 @@ def _finite(name: str, value):
 
 def _is_finite(name: str, value) -> bool:
     """math.isfinite(value); a value it cannot take (a string, None or a
-    complex number) is refused by name as not a real number."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    complex number), or a bool, which it takes, is refused by name as not
+    a real number."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return math.isfinite(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -199,15 +202,17 @@ def overlap(bra: CoherentState, ket: CoherentState) -> complex:
 
 
 @lru_cache(maxsize=1)  # a sweep asks for one axis and angle on every frame
-def _transports(axis_bytes: bytes, angle: float, basis, adjoint):
-    # the unitary, checked once here, and the rotation; basis and adjoint
-    # hash by identity and the entry holds them, so a reused id() cannot
-    # match a stale entry
-    axis = np.frombuffer(axis_bytes)
-    gen = np.einsum("l,lij->ij", axis, basis.matrices)
-    unitary = algebra.exp_generator(gen, angle)
+def _transports(axis_bytes: bytes, shape: tuple[int, ...], angle: float, basis,
+                adjoint):
+    # the rotation, whose build refuses a bad axis by name, then the
+    # unitary, checked once here; basis and adjoint hash by identity and
+    # the entry holds them, so a reused id() cannot match a stale entry
+    axis = np.frombuffer(axis_bytes).reshape(shape)
+    rotation = algebra.exp_adjoint(adjoint, axis, angle)
+    unitary = algebra.exp_generator(np.einsum("l,lij->ij", axis, basis.matrices),
+                                    angle)
     _check_unitary(unitary)
-    return unitary, algebra.exp_adjoint(adjoint, axis, angle)
+    return unitary, rotation
 
 
 def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float,
@@ -216,8 +221,9 @@ def correspondence_residual(state: CoherentState, axis: np.ndarray, angle: float
     """Max deviation between rotating the observable vector with the adjoint
     matrix exp(G . axis * angle) and transporting the state with the unitary
     exp(-i b . axis * angle / 2) first."""
-    unitary, rotation = _transports(np.asarray(axis, dtype=float).tobytes(),
-                                    float(angle), basis, adjoint)
+    axis = np.asarray(axis, dtype=float)
+    unitary, rotation = _transports(axis.tobytes(), axis.shape, float(angle),
+                                    basis, adjoint)
     quantum = all_expectations(CoherentState(unitary @ state.alpha, state.n0), basis)
     classical = rotation @ all_expectations(state, basis)
     return float(np.max(np.abs(quantum - classical)))
@@ -336,8 +342,9 @@ def state_to_torus(state: CoherentState, tol: float = 1e-8) -> TorusPoint:
     from the coherence phase between the fundamental amplitude and the
     poloidal combination of the vortex pair.  States outside the family
     (weight outside states 3..5, or an unbalanced fundamental mode) are
-    rejected.
+    rejected.  ``tol`` must be positive and finite.
     """
+    positive_finite("tol", tol)
     a = state.alpha
     outside = float(np.sum(np.abs(a[[0, 1, 5]]) ** 2))
     if outside > tol:
@@ -406,9 +413,10 @@ def classify_texture(state: CoherentState, tol_deg: float = 1.0) -> str:
     antiskyrmion orientations, dipolar, antidipolar, "pole" for states
     at a pair-sphere pole, "intermediate" for anything else inside the
     span, and "other" outside it.  Named labels require the sphere or
-    torus coordinates to lie within tol_deg of the exact point.
+    torus coordinates to lie within tol_deg of the exact point, which must
+    be positive and finite.
     """
-    tol = np.deg2rad(tol_deg)
+    tol = np.deg2rad(positive_finite("tol_deg", tol_deg))
     weights = np.abs(state.alpha) ** 2
     if weights[0] + weights[1] + weights[5] > 1e-9:
         return "other"

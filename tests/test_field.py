@@ -1271,6 +1271,37 @@ def test_disk_radius_must_be_a_real_number(radius, passes):
     assert sf._charges == {}
 
 
+@pytest.mark.parametrize("flag", [True, np.False_])
+@pytest.mark.parametrize("name,build", [
+    ("n0", lambda v: st.named_state("neel_out", n0=v)),
+    ("angle theta", lambda v: st.su2_state(v, 0.0)),
+    ("extent", lambda v: fd.TransverseGrid(64, v)),
+    ("waist", lambda v: fd.synthesize(st.named_state("neel_out"),
+                                      fd.TransverseGrid(16, 3.0), waist=v)),
+    ("element angle", lambda v: op.OpticalElement("HWP", v)),
+    ("sweep to", lambda v: op.SweepSpec("H", 0.0, v, 1.0)),
+    ("tol", lambda v: st.state_to_torus(st.named_state("dipolar"), tol=v)),
+    ("tol_deg", lambda v: st.classify_texture(st.named_state("dipolar"), tol_deg=v)),
+])
+def test_a_bool_is_not_a_number_anywhere(name, build, flag):
+    # math.isfinite takes a bool, so each of these took one as 1 or 0, and
+    # a state with n0=True was written as "n0": true, which loading refuses
+    with pytest.raises(ValueError) as err:
+        build(flag)
+    assert str(err.value) == f"{name} must be a real number, got {flag!r}"
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_texture_tolerances_must_be_positive_and_finite(tol):
+    # a NaN tolerance compared False everywhere: state_to_torus put basis_1
+    # on the torus at (0, 0, 0), and the Neel state was labelled intermediate
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+        st.state_to_torus(st.named_state("basis_1"), tol=tol)
+    with pytest.raises(ValueError,
+                       match=f"^tol_deg must be positive and finite, got {tol}$"):
+        st.classify_texture(st.named_state("neel_out"), tol_deg=tol)
+
+
 def test_disk_missing_every_pixel_keeps_its_message(passes):
     sf = stokes_for("neel_out", fd.TransverseGrid(size=64, extent=3.0))
     for _ in range(2):

@@ -816,6 +816,33 @@ def test_arbitrary_text_parses_or_names_a_line(text):
         assert 1 <= err.line <= max(1, len(text.splitlines()))
 
 
+
+def _statements_by_characters(text):
+    """The statement split as a character loop, the reference for the
+    two regexes of op._statements: a quote toggles, an unquoted ';' ends a
+    statement and an unquoted '#' ends the line."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        pieces, start, quoted = [], 0, False
+        for i, ch in enumerate(raw):
+            if ch == '"':
+                quoted = not quoted
+            elif ch in ";#" and not quoted:
+                pieces.append(raw[start:i])
+                start = i + 1
+                if ch == "#":
+                    break
+        else:
+            pieces.append(raw[start:])
+        out.extend((ln, p.strip()) for p in pieces if p.strip())
+    return out
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(hs.text(alphabet='";#\n\t\r\x0b\x1c ab', max_size=40))
+def test_statements_split_as_the_character_loop_does(text):
+    assert op._statements(text) == _statements_by_characters(text)
+
 # ---------------------------------------------------------------- running
 
 

@@ -525,6 +525,23 @@ def test_a_unitary_that_is_not_is_refused_once_per_transport(monkeypatch, adjoin
     assert st._transports.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("axis,message", [
+    (np.full(35, np.nan), "rotation axis must be finite, got nan"),
+    (np.ones(34), "axis must have 35 components, got (34,)"),
+    (np.ones((5, 7)), "axis must have 35 components, got (5, 7)"),
+    (np.zeros(35), "rotation axis is the zero vector"),
+])
+def test_correspondence_residual_names_a_bad_axis(adjoint, axis, message):
+    # the rotation is built first, so its axis checks speak: a NaN axis was
+    # refused as a generator that is not Hermitian, a 34-component one
+    # failed inside einsum, and a 5 x 7 one was taken as 35 components
+    st._transports.cache_clear()
+    with pytest.raises(ValueError) as err:
+        st.correspondence_residual(st.named_state("dipolar"), axis, 0.4,
+                                   alg.su6_basis(), adjoint)
+    assert str(err.value) == message
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("angle", [np.inf, np.nan])
 def test_correspondence_residual_blames_the_angle_not_the_state(adjoint, angle):
